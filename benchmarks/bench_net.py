@@ -2,24 +2,22 @@
 
 Three claims are measured, parity-gated before any time is trusted:
 
-* **codec parity** — the same pipelined stream is answered bit-for-bit
-  identically over the binary codec, the JSON codec, and the in-process
+* **wire parity** — the same pipelined stream is answered bit-for-bit
+  identically over the binary wire and by the in-process
   :class:`~repro.service.ServiceClient` (only wall-clock latency, and
   the dispatch-dependent ``batch_size``, may differ).  This is asserted
   *before* any throughput number is reported.
 * **throughput vs worker count** — one client pipelines a repeat-heavy
   working set (tiered reuse distances, see ``working_set_stream``)
-  through :class:`~repro.net.NetServer` at several worker counts over
-  the binary codec: every frame is in flight before the first response
+  through :class:`~repro.net.NetServer` at several worker counts:
+  every frame is in flight before the first response
   is read, so shard queues fill and the workers' micro-batchers fuse
   queued misses into lockstep solves (every structure shares one node
   count, so any shard's queue is fully fusible).  Each worker carries
   the same bounded LRU; what grows with the worker count is *aggregate*
   cache over the sharded working set — the locality the affinity router
   exists to exploit, and (on the single-core CI box, where extra
-  processes add no compute) the honest reason the curve rises.  A
-  sequential JSON run at one worker, same workload and cache, reproduces
-  the pre-binary transport as the before/after baseline.
+  processes add no compute) the honest reason the curve rises.
 * **shard-affinity vs random routing** — the same repeat-heavy stream
   against an ``affinity``-routed and a ``random``-routed server with
   identical worker counts.  The merged ``service.cache.*`` counters and
@@ -39,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -94,10 +93,10 @@ def distinct_payloads(count: int, *, nodes: int = 6, seed: int = 7) -> list:
 def as_arrays(payload: dict) -> dict:
     """The same payload with float64 ``ndarray`` problem data.
 
-    Binary-codec callers hold arrays, not lists — keeping them as arrays
-    end to end is the codec's point (the packed body is their raw bytes,
-    no per-element conversion).  The JSON legs keep the list form; the
-    parity gate proves both forms get identical answers.
+    Wire callers hold arrays, not lists — keeping them as arrays end to
+    end is the codec's point (the packed body is their raw bytes, no
+    per-element conversion).  The parity gate proves both forms get
+    identical answers.
     """
     out = dict(payload)
     problem = dict(payload["problem"])
@@ -171,26 +170,24 @@ def comparable(response: dict) -> dict:
     return clean
 
 
-def assert_codec_parity(stream: list) -> dict:
-    """Bit-for-bit response parity: binary wire == JSON wire == local."""
+def assert_wire_parity(stream: list) -> dict:
+    """Bit-for-bit response parity: binary wire == in-process.
+
+    The stream crosses the wire twice, once with ndarray-backed payloads
+    (as the timed runs send them) and once in the list form; equality
+    with the local answers proves the result is independent of the
+    transport *and* of how the caller held the problem data."""
     local = ServiceClient(AllocationService(cache_size=0))
     reference = [local.solve_payload(dict(p)) for p in stream]
-    wire = {}
-    for codec in ("binary", "json"):
-        # The binary leg ships ndarray-backed payloads (as the timed runs
-        # do); the JSON leg ships the list form.  Equality across both
-        # proves the answer is independent of codec *and* of how the
-        # caller held the problem data.
-        sendable = [as_arrays(p) if codec == "binary" else dict(p) for p in stream]
-        with NetServer(port=0, workers=2, cache_size=0) as server:
-            host, port = server.address
-            with NetClient(host, port, codec=codec, timeout_s=300.0) as client:
-                wire[codec] = client.solve_payloads(sendable)
-    for codec, responses in wire.items():
-        assert all(r["status"] == "ok" for r in responses), codec
-        for want, have in zip(reference, responses):
-            assert comparable(have) == comparable(want), (codec, have.get("id"))
-    return {"requests": len(stream), "codecs": ["binary", "json"], "ok": True}
+    with NetServer(port=0, workers=2, cache_size=0) as server:
+        host, port = server.address
+        with NetClient(host, port, timeout_s=300.0) as client:
+            for sendable in ([as_arrays(p) for p in stream], [dict(p) for p in stream]):
+                responses = client.solve_payloads(sendable)
+                assert all(r["status"] == "ok" for r in responses)
+                for want, have in zip(reference, responses):
+                    assert comparable(have) == comparable(want), have.get("id")
+    return {"requests": len(stream), "ok": True}
 
 
 def run_stream(client: NetClient, stream: list) -> float:
@@ -221,7 +218,7 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
             cache_size=CACHE_PER_WORKER, max_batch=128,
         ) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary", timeout_s=300.0) as client:
+            with NetClient(host, port, timeout_s=300.0) as client:
                 run_stream(client, wire_stream)  # warm-up pass, untimed
                 elapsed = min(
                     run_stream(client, wire_stream) for _ in range(repeats)
@@ -231,8 +228,6 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
         rows.append(
             {
                 "workers": workers,
-                "codec": "binary",
-                "pipelined": True,
                 "requests": len(stream),
                 "seconds": elapsed,
                 "requests_per_second": len(stream) / elapsed,
@@ -251,31 +246,6 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
             }
         )
     return rows
-
-
-def bench_json_sequential(stream: list, *, repeats: int) -> dict:
-    """The pre-binary transport, reproduced: JSON codec, one request in
-    flight at a time, one worker — same workload and same per-worker
-    cache as the binary rows.  The before/after baseline."""
-    with NetServer(port=0, workers=1, cache_size=CACHE_PER_WORKER) as server:
-        host, port = server.address
-        with NetClient(host, port, codec="json", timeout_s=300.0) as client:
-            client.ping()  # connection warm-up outside the clock
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                responses = [client.solve_payload(p) for p in stream]
-                elapsed = time.perf_counter() - start
-                assert all(r["status"] == "ok" for r in responses)
-                best = elapsed if best is None else min(best, elapsed)
-    return {
-        "workers": 1,
-        "codec": "json",
-        "pipelined": False,
-        "requests": len(stream),
-        "seconds": best,
-        "requests_per_second": len(stream) / best,
-    }
 
 
 def bench_routing(workers: int, stream: list) -> dict:
@@ -318,7 +288,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small stream, two worker counts, no JSON unless --out is given",
+        help="small stream, two worker counts, no output file unless --out is given",
     )
     parser.add_argument(
         "--out", default=None,
@@ -334,26 +304,17 @@ def main(argv=None) -> int:
         rounds, repeats = 8, 5
     stream = working_set_stream(rounds)
 
-    parity = assert_codec_parity(repeat_stream(distinct_payloads(4), 2))
-    print(f"parity: binary == json == in-process over {parity['requests']} requests")
+    parity = assert_wire_parity(repeat_stream(distinct_payloads(4), 2))
+    print(f"parity: binary wire == in-process over {parity['requests']} requests")
 
-    print(f"\n{'workers':>8} {'codec':>7} {'mode':>11} {'requests':>9} "
-          f"{'seconds':>9} {'req/s':>9} {'hit rate':>9}")
-    baseline = bench_json_sequential(stream, repeats=repeats)
+    print(f"\npipelined, {os.cpu_count()} CPU(s)")
+    print(f"{'workers':>8} {'requests':>9} {'seconds':>9} {'req/s':>9} {'hit rate':>9}")
     throughput = bench_throughput(worker_counts, stream, repeats=repeats)
-    for row in [baseline] + throughput:
-        mode = "pipelined" if row["pipelined"] else "sequential"
-        cache = row.get("cache")
-        hit_rate = f"{cache['hit_rate']:>8.0%}" if cache else f"{'—':>8}"
+    for row in throughput:
         print(
-            f"{row['workers']:>8} {row['codec']:>7} {mode:>11} "
-            f"{row['requests']:>9} {row['seconds']:>8.3f}s "
-            f"{row['requests_per_second']:>9.1f} {hit_rate}"
+            f"{row['workers']:>8} {row['requests']:>9} {row['seconds']:>8.3f}s "
+            f"{row['requests_per_second']:>9.1f} {row['cache']['hit_rate']:>8.0%}"
         )
-    speedup = (
-        throughput[0]["requests_per_second"] / baseline["requests_per_second"]
-    )
-    print(f"binary+pipelining at 1 worker: {speedup:.1f}x the JSON sequential wire")
 
     routing = bench_routing(worker_counts[-1], stream)
     print(
@@ -381,11 +342,10 @@ def main(argv=None) -> int:
                 "rounds": rounds,
                 "repeats": repeats,
                 "smoke": args.smoke,
+                "cpu_count": os.cpu_count(),
             },
             "parity": parity,
-            "json_sequential_baseline": baseline,
             "throughput": throughput,
-            "speedup_vs_json_sequential": speedup,
             "routing": routing,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -253,10 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard policy: structural-fingerprint affinity or random",
     )
     net_serve.add_argument(
-        "--codec", choices=["auto", "binary", "json"], default="auto",
-        help="wire protocols to accept: auto serves both on one listener",
-    )
-    net_serve.add_argument(
         "--secret", default=None, metavar="SECRET",
         help="require the shared-secret HMAC handshake on every connection",
     )
@@ -353,10 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=2,
         help="re-send budget per request (transport failures and, with "
         "--retry-restarts on the API, worker restarts share it)",
-    )
-    net_solve.add_argument(
-        "--codec", choices=["binary", "json"], default="binary",
-        help="wire protocol to speak (json for pre-binary servers)",
     )
     net_solve.add_argument(
         "--secret", default=None, metavar="SECRET",
@@ -703,7 +695,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             shards=args.shards,
             routing=args.routing,
-            codec=args.codec,
             secret=args.secret,
             max_batch=args.max_batch,
             cache_size=args.cache_size,
@@ -736,7 +727,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
                 "workers": server.num_workers,
                 "shards": server.num_shards,
                 "routing": args.routing,
-                "codec": args.codec,
                 "auth": args.secret is not None,
                 "server_id": server.server_id,
                 "peers": [f"{h}:{p}" for h, p in server.peer_addresses],
@@ -800,7 +790,6 @@ def _cmd_net_solve(args: argparse.Namespace) -> int:
         port,
         timeout_s=args.timeout,
         retries=args.retries,
-        codec=args.codec,
         secret=args.secret,
     )
     try:

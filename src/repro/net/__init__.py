@@ -7,11 +7,10 @@ puts that service behind a TCP front end and scales it across worker
 processes without giving up what makes the service fast:
 
 * :class:`NetServer` — one :mod:`selectors` event-loop thread owns every
-  socket; each connection speaks the **binary codec**
-  (:mod:`repro.net.binary`: struct-packed headers, raw float64 bodies)
-  or the **JSON codec** (length-prefixed frames, the exact
-  ``repro-fap serve`` wire format) — sniffed from the first bytes, so
-  both kinds share one listener.  Requests route through a
+  socket; every connection speaks the one wire codec
+  (:mod:`repro.net.binary`: struct-packed headers, raw float64 bodies,
+  any other dict as a JSON body under the same header).  Requests
+  route through a
   :class:`ShardRouter` into *bounded* shard queues dispatched to worker
   processes, each running its own
   :class:`~repro.service.AllocationService` + cache; a full queue
@@ -64,27 +63,19 @@ docs/COOKBOOK.md ("Serving over the network") and docs/PERFORMANCE.md
 from repro.net.binary import (
     BINARY_MAGIC,
     BINARY_VERSION,
-    BinaryFrameError,
+    MAX_FRAME_BYTES,
     BinaryFrameReader,
+    FrameError,
     decode_binary_frames,
     encode_binary_frame,
     send_binary_frame,
 )
 from repro.net.client import (
-    CLIENT_CODECS,
     NetAuthError,
     NetClient,
     NetConnectionError,
     NetError,
     NetTimeout,
-)
-from repro.net.framing import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    FrameReader,
-    decode_frames,
-    encode_frame,
-    send_frame,
 )
 from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import (
@@ -95,22 +86,14 @@ from repro.net.lookaside import (
 )
 from repro.net.peers import PeerState, parse_peers
 from repro.net.router import ShardRouter, shard_of_key
-from repro.net.server import (
-    REJECT_OVERLOADED,
-    REJECT_SHUTTING_DOWN,
-    SERVER_CODECS,
-    NetServer,
-)
+from repro.net.server import REJECT_OVERLOADED, REJECT_SHUTTING_DOWN, NetServer
 from repro.net.worker import WorkerConfig, WorkerCrashed, WorkerHandle, worker_main
 
 __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
-    "BinaryFrameError",
     "BinaryFrameReader",
-    "CLIENT_CODECS",
     "FrameError",
-    "FrameReader",
     "GOSSIP_OPS",
     "GossipAgent",
     "LookasideTier",
@@ -124,20 +107,16 @@ __all__ = [
     "PeerState",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "SERVER_CODECS",
     "ShardRouter",
     "WorkerConfig",
     "WorkerCrashed",
     "WorkerHandle",
     "decode_binary_frames",
-    "decode_frames",
     "donor_record",
     "encode_binary_frame",
-    "encode_frame",
     "params_from_payload",
     "parse_peers",
     "send_binary_frame",
-    "send_frame",
     "shard_of_key",
     "wire_record",
     "worker_main",

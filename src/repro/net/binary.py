@@ -1,8 +1,6 @@
-"""The binary wire codec: struct-packed frames, ``np.frombuffer`` bodies.
+"""The wire codec: struct-packed frames, ``np.frombuffer`` bodies.
 
-The JSON framing (:mod:`repro.net.framing`) spends most of a request's
-wall clock turning float64 arrays into decimal strings and back.  This
-module is the same frame stream with that cost removed:
+Every byte the server and client exchange is a frame of this codec:
 
 * every frame starts with a **struct-packed header** —
   ``magic (4s) | version (B) | kind (B) | flags (H) | request id (Q) |
@@ -19,25 +17,28 @@ module is the same frame stream with that cost removed:
   on the hot path;
 * everything else (control verbs, hellos, errors, rejections, payloads
   with fields the packed layout does not know) rides as
-  :data:`KIND_JSON` — a JSON body inside a binary frame — so the binary
-  connection can carry *any* dict the JSON protocol can;
+  :data:`KIND_JSON` — a JSON body inside a binary frame — so a
+  connection can carry *any* dict of the :mod:`repro.service.codec`
+  wire format;
 * the gossip mesh (:mod:`repro.net.gossip`) reuses the same 20-byte
   header: :data:`KIND_GOSSIP_DIGEST` and :data:`KIND_GOSSIP_PULL` carry
   compact JSON control bodies, while :data:`KIND_GOSSIP_RECORDS` packs
   batches of lookaside donor records — raw float64 parameter and
   allocation vectors — the same way solve bodies pack their arrays.
 
-The first bytes on a connection negotiate the protocol: binary frames
-open with :data:`BINARY_MAGIC` (never an ASCII digit), JSON frames open
-with a decimal length line, and :class:`~repro.net.server.NetServer`
-sniffs which one it is per connection — old JSON clients keep working
-against a binary-capable server.
+Parity is the contract: packing a request and unpacking it yields a
+payload whose :func:`~repro.service.codec.parse_request` result
+fingerprints identically to the original's, and an unpacked response
+dict equals the JSON dict ``repro-fap serve`` would print for it
+(float64 survives bit-for-bit).
 
-Parity is the contract, exactly as for the JSON codec: packing a request
-and unpacking it yields a payload whose :func:`~repro.service.codec.parse_request`
-result fingerprints identically to the original's, and an unpacked
-response dict equals the dict the JSON path would have produced
-(float64 survives both codecs bit-for-bit).
+Anything that arrives from the network is hostile until decoded: a
+corrupt header, an oversized declared length, a truncated or
+inconsistent packed body, undecodable strings, or a JSON body that is
+not an object (or nests too deeply to parse) all raise
+:class:`FrameError` — the one error a reader has to handle.  Frames
+larger than :data:`MAX_FRAME_BYTES` are refused from the header alone,
+before any body byte is buffered.
 """
 
 from __future__ import annotations
@@ -49,25 +50,29 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.net.framing import MAX_FRAME_BYTES, FrameError
+from repro.exceptions import ReproError
 
 __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
-    "BinaryFrameError",
     "BinaryFrameReader",
+    "FrameError",
+    "MAX_FRAME_BYTES",
     "decode_binary_frames",
     "encode_binary_frame",
     "send_binary_frame",
 ]
 
-#: First four bytes of every binary frame.  The leading byte (0xFA) can
-#: never begin a JSON frame (those start with an ASCII digit), which is
-#: what lets one listener serve both protocols.
+#: First four bytes of every frame.
 BINARY_MAGIC = b"\xfaFAP"
 
 #: Wire protocol version; bumped on any incompatible layout change.
 BINARY_VERSION = 1
+
+#: Hard cap on one frame's body; a request is ~kilobytes, so this is
+#: three orders of magnitude of headroom, and anything near it is
+#: garbage or an attack.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Body is UTF-8 JSON (control verbs, errors, unpackable payloads).
 KIND_JSON = 0
@@ -98,7 +103,7 @@ _SOLVE_START_VECTOR = 0x4  # start is an n-vector (else a named start)
 # is the rest of the body.
 _RESULT_FRONT = struct.Struct("<ddqiHH")
 _RESULT_CONVERGED = 0x1
-_CACHE_CODES = {"miss": 0, "hit": 1, "warm": 2}
+_CACHE_CODES = {"miss": 0, "hit": 1, "warm": 2, "lookaside": 3}
 _CACHE_NAMES = {code: name for name, code in _CACHE_CODES.items()}
 
 _RECV_CHUNK = 262144
@@ -125,10 +130,10 @@ _PACKED_RESPONSE_KEYS = {
 }
 
 
-class BinaryFrameError(FrameError):
-    """The byte stream violated the binary framing protocol (bad magic,
-    unknown version or kind, oversized or truncated body, corrupt packed
-    layout)."""
+class FrameError(ReproError):
+    """The byte stream violated the framing protocol (bad magic, unknown
+    version or kind, oversized or truncated body, corrupt packed layout,
+    or a body that does not decode)."""
 
 
 def _f64(values) -> np.ndarray:
@@ -231,7 +236,7 @@ def _unpack_solve_body(body: bytes) -> Dict:
     ``bytes`` snapshot (the readers below guarantee it).
     """
     if len(body) < _SOLVE_FRONT.size:
-        raise BinaryFrameError(
+        raise FrameError(
             f"solve body of {len(body)} bytes is shorter than its header"
         )
     (
@@ -239,7 +244,7 @@ def _unpack_solve_body(body: bytes) -> Dict:
         id_len, name_len, start_len,
     ) = _SOLVE_FRONT.unpack_from(body)
     if n < 0:
-        raise BinaryFrameError(f"solve body declares negative node count {n}")
+        raise FrameError(f"solve body declares negative node count {n}")
     pos = _SOLVE_FRONT.size
     strings = []
     for length in (id_len, name_len, start_len):
@@ -251,7 +256,7 @@ def _unpack_solve_body(body: bytes) -> Dict:
     start_count = n if flags & _SOLVE_START_VECTOR else 0
     want = pos + 8 * (n * n + n + mu_count + start_count)
     if len(body) != want:
-        raise BinaryFrameError(
+        raise FrameError(
             f"solve body is {len(body)} bytes, layout requires {want}"
         )
 
@@ -326,10 +331,10 @@ def _pack_result_body(payload: Dict) -> Optional[bytes]:
 
 
 def _unpack_result_body(body: bytes) -> Dict:
-    """The packed result body back into the exact dict the JSON codec
-    would have delivered (``allocation`` as a list of Python floats)."""
+    """The packed result body back into the exact JSON response dict
+    (``allocation`` as a list of Python floats)."""
     if len(body) < _RESULT_FRONT.size:
-        raise BinaryFrameError(
+        raise FrameError(
             f"result body of {len(body)} bytes is shorter than its header"
         )
     cost, latency, iterations, batch_size, flags, id_len = _RESULT_FRONT.unpack_from(
@@ -339,11 +344,11 @@ def _unpack_result_body(body: bytes) -> Dict:
     id_bytes = body[pos : pos + id_len]
     pos += id_len
     if (len(body) - pos) % 8:
-        raise BinaryFrameError("result allocation is not a whole float64 array")
+        raise FrameError("result allocation is not a whole float64 array")
     allocation = np.frombuffer(body, dtype=np.float64, offset=pos)
     cache = _CACHE_NAMES.get(flags >> 1)
     if cache is None:
-        raise BinaryFrameError(f"result carries unknown cache code {flags >> 1}")
+        raise FrameError(f"result carries unknown cache code {flags >> 1}")
     return {
         "id": id_bytes.decode("utf-8"),
         "status": "ok",
@@ -364,7 +369,7 @@ def _pack_gossip_records_body(payload: Dict) -> bytes:
     records = payload.get("records", [])
     server = str(payload.get("server", "")).encode("utf-8")
     if len(server) > 0xFFFF:
-        raise BinaryFrameError("gossip server id exceeds 65535 bytes")
+        raise FrameError("gossip server id exceeds 65535 bytes")
     parts = [_GOSSIP_BATCH_FRONT.pack(len(server), len(records)), server]
     for record in records:
         try:
@@ -383,9 +388,9 @@ def _pack_gossip_records_body(payload: Dict) -> bytes:
                 len(origin),
             )
         except (KeyError, TypeError, ValueError, struct.error) as exc:
-            raise BinaryFrameError(f"unpackable gossip record: {exc}") from None
+            raise FrameError(f"unpackable gossip record: {exc}") from None
         if params.size != 2 * n + 1 or allocation.size != n:
-            raise BinaryFrameError(
+            raise FrameError(
                 f"gossip record for n={n} carries {params.size} params and "
                 f"{allocation.size} allocation entries"
             )
@@ -397,7 +402,7 @@ def _unpack_gossip_records_body(body: bytes) -> Dict:
     """The packed batch back into ``{"op": "gossip_records", ...}`` with
     ``np.frombuffer`` views for the float64 vectors."""
     if len(body) < _GOSSIP_BATCH_FRONT.size:
-        raise BinaryFrameError(
+        raise FrameError(
             f"gossip batch of {len(body)} bytes is shorter than its header"
         )
     server_len, count = _GOSSIP_BATCH_FRONT.unpack_from(body)
@@ -407,12 +412,12 @@ def _unpack_gossip_records_body(body: bytes) -> Dict:
     records = []
     for _ in range(count):
         if len(body) - pos < _GOSSIP_RECORD_FRONT.size:
-            raise BinaryFrameError("gossip batch truncated mid-record")
+            raise FrameError("gossip batch truncated mid-record")
         epoch, ttl, iterations, n, key_len, origin_len = (
             _GOSSIP_RECORD_FRONT.unpack_from(body, pos)
         )
         if n < 0:
-            raise BinaryFrameError(f"gossip record declares negative size {n}")
+            raise FrameError(f"gossip record declares negative size {n}")
         pos += _GOSSIP_RECORD_FRONT.size
         key = body[pos : pos + key_len].decode("utf-8")
         pos += key_len
@@ -420,7 +425,7 @@ def _unpack_gossip_records_body(body: bytes) -> Dict:
         pos += origin_len
         want = 8 * (3 * n + 1)
         if len(body) - pos < want:
-            raise BinaryFrameError(
+            raise FrameError(
                 f"gossip record for n={n} is missing its float64 vectors"
             )
         params = np.frombuffer(body, dtype=np.float64, count=2 * n + 1, offset=pos)
@@ -438,7 +443,7 @@ def _unpack_gossip_records_body(body: bytes) -> Dict:
             "ttl_s": None if np.isnan(ttl) else ttl,
         })
     if pos != len(body):
-        raise BinaryFrameError(
+        raise FrameError(
             f"gossip batch has {len(body) - pos} trailing bytes"
         )
     return {"op": "gossip_records", "server": server, "records": records}
@@ -471,7 +476,7 @@ def encode_binary_frame(payload: Dict, request_id: int = 0) -> bytes:
     if body is None:
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
-        raise BinaryFrameError(
+        raise FrameError(
             f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BYTES}"
         )
     header = _HEADER.pack(
@@ -482,42 +487,53 @@ def encode_binary_frame(payload: Dict, request_id: int = 0) -> bytes:
 
 
 def _decode_body(kind: int, body: bytes) -> Dict:
-    if kind == KIND_SOLVE:
-        return _unpack_solve_body(body)
-    if kind == KIND_RESULT:
-        return _unpack_result_body(body)
-    if kind == KIND_GOSSIP_RECORDS:
-        return _unpack_gossip_records_body(body)
-    if kind in (KIND_JSON, KIND_GOSSIP_DIGEST, KIND_GOSSIP_PULL):
-        try:
+    """One frame body back into its payload dict.  Every malformed body
+    raises :class:`FrameError` — undecodable UTF-8 in a packed string
+    and JSON nested too deep to parse included — so a hostile frame can
+    fail its connection but never the reader's thread."""
+    try:
+        if kind == KIND_SOLVE:
+            return _unpack_solve_body(body)
+        if kind == KIND_RESULT:
+            return _unpack_result_body(body)
+        if kind == KIND_GOSSIP_RECORDS:
+            return _unpack_gossip_records_body(body)
+        if kind in (KIND_JSON, KIND_GOSSIP_DIGEST, KIND_GOSSIP_PULL):
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BinaryFrameError(f"frame body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise BinaryFrameError(
-                f"frame body must be a JSON object, got {type(payload).__name__}"
-            )
-        return payload
-    raise BinaryFrameError(f"unknown frame kind {kind}")
+            if not isinstance(payload, dict):
+                raise FrameError(
+                    f"frame body must be a JSON object, got {type(payload).__name__}"
+                )
+            return payload
+    except (ValueError, RecursionError) as exc:
+        raise FrameError(
+            f"undecodable kind-{kind} frame body: {type(exc).__name__}: {exc}"
+        ) from None
+    raise FrameError(f"unknown frame kind {kind}")
 
 
 def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
     """``(kind, request_id, body_length)`` once the header is complete,
-    ``None`` while more bytes are needed.  Raises on a corrupt header."""
+    ``None`` while more bytes are needed.  Raises on a corrupt header —
+    on a wrong magic as soon as its first byte is in, so a peer speaking
+    some other protocol is refused without waiting for 20 bytes."""
     if len(buffer) - pos < HEADER_BYTES:
+        head = bytes(buffer[pos : pos + len(BINARY_MAGIC)])
+        if not BINARY_MAGIC.startswith(head):
+            raise FrameError(f"bad frame magic {head!r}")
         return None
     magic, version, kind, _flags, request_id, length = _HEADER.unpack_from(
         buffer, pos
     )
     if magic != BINARY_MAGIC:
-        raise BinaryFrameError(f"bad frame magic {bytes(magic)!r}")
+        raise FrameError(f"bad frame magic {bytes(magic)!r}")
     if version != BINARY_VERSION:
-        raise BinaryFrameError(
+        raise FrameError(
             f"unsupported protocol version {version} (this side speaks "
             f"{BINARY_VERSION})"
         )
     if length > MAX_FRAME_BYTES:
-        raise BinaryFrameError(
+        raise FrameError(
             f"declared frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
         )
     return kind, request_id, length
@@ -525,8 +541,8 @@ def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
 
 def decode_binary_frames(buffer: bytes) -> Tuple[List[Tuple[Dict, int]], bytes]:
     """Every complete ``(payload, request_id)`` in ``buffer`` plus the
-    unconsumed remainder.  The pure-bytes counterpart of
-    :func:`repro.net.framing.decode_frames`."""
+    unconsumed remainder — the pure-bytes counterpart of
+    :class:`BinaryFrameReader`."""
     frames: List[Tuple[Dict, int]] = []
     pos = 0
     while True:
@@ -584,7 +600,7 @@ class BinaryFrameReader:
             chunk = self._sock.recv(_RECV_CHUNK)
             if not chunk:
                 if len(self._buffer) - self._pos:
-                    raise BinaryFrameError(
+                    raise FrameError(
                         "connection closed mid-frame "
                         f"({len(self._buffer) - self._pos} buffered bytes)"
                     )

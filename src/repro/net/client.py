@@ -4,16 +4,13 @@
 
 * a **connection pool** (``pool_size`` sockets, created lazily) so
   concurrent threads share transport without a handshake per request;
-* a **codec** per client — ``"binary"`` (default; struct-packed frames,
-  raw float64 bodies, see :mod:`repro.net.binary`) or ``"json"`` (the
-  length-prefixed frames every pre-binary server speaks).  The server
-  sniffs which one a connection uses from its first bytes, so no
-  negotiation round-trip is spent when no secret is configured;
+* the one wire codec (:mod:`repro.net.binary`: struct-packed frames,
+  raw float64 bodies), so no negotiation round-trip is spent when no
+  secret is configured;
 * **request pipelining** (:meth:`request_many` / :meth:`solve_payloads`):
-  many frames in flight on one connection, binary responses matched by
-  the echoed transport request id, JSON responses by payload ``id`` —
-  the difference between paying one round-trip per request and one per
-  burst;
+  many frames in flight on one connection, responses matched by the
+  echoed transport request id — the difference between paying one
+  round-trip per request and one per burst;
 * a **per-request deadline** (``timeout_s``, overridable per call) that
   caps connect + handshake + send + receive together — a hung server
   surfaces as :class:`NetTimeout`, never a hung caller;
@@ -40,31 +37,24 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import itertools
 import socket
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
-from repro.net.binary import BinaryFrameReader, encode_binary_frame
-from repro.net.framing import FrameError, FrameReader, encode_frame
+from repro.net.binary import BinaryFrameReader, FrameError, encode_binary_frame
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.service.codec import request_to_payload, response_from_dict
 from repro.service.types import SolveRequest, SolveResponse
 
 __all__ = [
-    "CLIENT_CODECS",
     "NetAuthError",
     "NetClient",
     "NetConnectionError",
     "NetError",
     "NetTimeout",
 ]
-
-#: Accepted values for :class:`NetClient`'s ``codec`` parameter.
-CLIENT_CODECS = ("binary", "json")
 
 
 class NetError(ReproError):
@@ -86,35 +76,23 @@ class NetAuthError(NetError):
 class _Conn:
     """One pooled socket plus its frame reader and correlation counter."""
 
-    def __init__(self, sock: socket.socket, codec: str):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.codec = codec
-        self._binary = codec == "binary"
-        self._reader = BinaryFrameReader(sock) if self._binary else FrameReader(sock)
+        self._reader = BinaryFrameReader(sock)
         self._next_id = 0
 
-    def next_id(self) -> int:
+    def frame(self, payload: Dict) -> Tuple[int, bytes]:
+        """``(corr_id, wire bytes)`` for one payload, stamped with the
+        connection's next correlation id."""
         self._next_id += 1
-        return self._next_id
+        return self._next_id, encode_binary_frame(payload, self._next_id)
 
-    def encode(self, payload: Dict, corr_id: int) -> bytes:
-        if self._binary:
-            return encode_binary_frame(payload, corr_id)
-        return encode_frame(payload)
-
-    def send(self, payload: Dict) -> int:
-        """Send one frame; returns the correlation id it was stamped with
-        (always 0 on the JSON codec, which correlates by payload id)."""
-        corr_id = self.next_id() if self._binary else 0
-        self.sock.sendall(self.encode(payload, corr_id))
-        return corr_id
+    def send(self, payload: Dict) -> None:
+        self.sock.sendall(self.frame(payload)[1])
 
     def read(self) -> Optional[Tuple[Dict, int]]:
         """Next ``(payload, corr_id)``, or ``None`` on clean EOF."""
-        if self._binary:
-            return self._reader.read()
-        payload = self._reader.read()
-        return None if payload is None else (payload, 0)
+        return self._reader.read()
 
     def close(self) -> None:
         try:
@@ -145,10 +123,6 @@ class NetClient:
     retry_restarts:
         Also retry requests answered with an in-band
         ``worker_restarted`` error (default ``False``: surface them).
-    codec:
-        ``"binary"`` (default) or ``"json"``.  Any server since the
-        binary wire speaks both; pass ``"json"`` for pre-binary servers
-        or wire-level debugging.
     secret:
         Shared secret for servers started with one; each new connection
         authenticates via HMAC challenge/response before use.
@@ -164,17 +138,12 @@ class NetClient:
         retries: int = 2,
         backoff_s: float = 0.05,
         retry_restarts: bool = False,
-        codec: str = "binary",
         secret: Optional[str] = None,
         clock=time.monotonic,
         sleep=time.sleep,
     ):
         if pool_size < 1:
             raise NetError("pool_size must be >= 1")
-        if codec not in CLIENT_CODECS:
-            raise NetError(
-                f"unknown codec {codec!r} (expected one of {CLIENT_CODECS})"
-            )
         self.host = host
         self.port = int(port)
         self.pool_size = int(pool_size)
@@ -182,7 +151,6 @@ class NetClient:
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
         self.retry_restarts = bool(retry_restarts)
-        self.codec = codec
         self._secret = secret.encode("utf-8") if isinstance(secret, str) else secret
         self._clock = clock
         self._sleep = sleep
@@ -191,7 +159,6 @@ class NetClient:
         self._pending_reconnects = 0
         self._cond = threading.Condition()
         self._closed = False
-        self._ids = itertools.count(1)
         #: Client-side operation tallies — the "retry counts" half of the
         #: transport's observability; the server's half is ``stats()``.
         #: ``connects`` counts first connections, ``reconnects`` only the
@@ -241,7 +208,7 @@ class NetClient:
                 self.metrics["reconnects"] += 1
             else:
                 self.metrics["connects"] += 1
-        conn = _Conn(sock, self.codec)
+        conn = _Conn(sock)
         if self._secret is not None:
             try:
                 self._handshake(conn, deadline)
@@ -407,11 +374,8 @@ class NetClient:
         is read, all on one pooled connection.
 
         Responses come back **in input order** regardless of the order
-        the server finished them — binary frames are matched by the
-        echoed transport request id, JSON frames by payload ``id``
-        (payloads missing one are stamped with a client-assigned id
-        before sending; the returned dicts carry whatever id went out on
-        the wire).  No retry policy applies — a transport failure
+        the server finished them — each is matched by the echoed
+        transport request id.  No retry policy applies — a transport failure
         mid-burst raises, because the burst's position in the stream is
         ambiguous.  One deadline covers the whole burst.
         """
@@ -428,10 +392,7 @@ class NetClient:
             raise
         results: List[Optional[Dict]] = [None] * len(payloads)
         try:
-            if conn.codec == "binary":
-                self._pipeline_binary(conn, payloads, results, deadline)
-            else:
-                self._pipeline_json(conn, payloads, results, deadline)
+            self._pipeline(conn, payloads, results, deadline)
         except socket.timeout:
             self._discard(conn)
             self.metrics["timeouts"] += 1
@@ -445,13 +406,13 @@ class NetClient:
         self._release(conn)
         return results  # type: ignore[return-value]
 
-    def _pipeline_binary(self, conn, payloads, results, deadline) -> None:
+    def _pipeline(self, conn, payloads, results, deadline) -> None:
         index_of: Dict[int, int] = {}
         out = bytearray()
         for i, payload in enumerate(payloads):
-            corr_id = conn.next_id()
+            corr_id, data = conn.frame(payload)
             index_of[corr_id] = i
-            out += conn.encode(payload, corr_id)
+            out += data
         conn.sock.settimeout(max(0.001, deadline - self._clock()))
         conn.sock.sendall(out)
         for _ in range(len(payloads)):
@@ -468,34 +429,6 @@ class NetClient:
                     f"{self.host}:{self.port} answered unknown request id {corr_id}"
                 )
             results[i] = response
-
-    def _pipeline_json(self, conn, payloads, results, deadline) -> None:
-        index_of: Dict[str, deque] = {}
-        out = bytearray()
-        for i, payload in enumerate(payloads):
-            request_id = payload.get("id")
-            if request_id is None:
-                request_id = f"cli-{next(self._ids)}"
-                payload = {**payload, "id": request_id}
-            index_of.setdefault(str(request_id), deque()).append(i)
-            out += conn.encode(payload, 0)
-        conn.sock.settimeout(max(0.001, deadline - self._clock()))
-        conn.sock.sendall(out)
-        for _ in range(len(payloads)):
-            conn.sock.settimeout(max(0.001, deadline - self._clock()))
-            got = conn.read()
-            if got is None:
-                raise NetConnectionError(
-                    f"{self.host}:{self.port} closed the connection mid-burst"
-                )
-            response = got[0]
-            queue = index_of.get(str(response.get("id", "")))
-            if not queue:
-                raise NetConnectionError(
-                    f"{self.host}:{self.port} answered unknown request id "
-                    f"{response.get('id')!r}"
-                )
-            results[queue.popleft()] = response
 
     # -- surfaces --------------------------------------------------------------
 
@@ -557,7 +490,7 @@ class NetClient:
 
     def __repr__(self) -> str:
         return (
-            f"NetClient({self.host}:{self.port}, codec={self.codec!r}, "
+            f"NetClient({self.host}:{self.port}, "
             f"pool={self.pool_size}, timeout_s={self.timeout_s:g}, "
             f"retries={self.retries})"
         )

@@ -8,13 +8,9 @@ in-process library into something real clients connect to:
   non-blocking in one place, so a thousand idle connections cost a
   thousand registrations, not a thousand threads, and a pipelining
   client can keep many requests in flight per connection;
-* each connection speaks the **binary codec** (:mod:`repro.net.binary`,
-  struct-packed headers + raw float64 bodies) or the **JSON codec**
-  (:mod:`repro.net.framing`, the exact ``repro-fap serve`` wire format)
-  — the first bytes decide (binary frames open with
-  :data:`~repro.net.binary.BINARY_MAGIC`, JSON frames with a decimal
-  length line), so old JSON clients keep working unchanged and both
-  kinds can share one listener;
+* every connection speaks the one wire codec (:mod:`repro.net.binary`:
+  struct-packed headers, raw float64 bodies, any other dict as a JSON
+  body under the same header);
 * a :class:`~repro.net.router.ShardRouter` partitions requests across
   **shards**, each shard a *bounded* FIFO queue owned by one dispatch
   thread; shards map onto **worker processes** (:mod:`repro.net.worker`),
@@ -32,7 +28,9 @@ in-process library into something real clients connect to:
 * with ``peers``, the loop also runs a
   :class:`~repro.net.gossip.GossipAgent`: outbound links to the other
   servers of a static mesh (non-blocking connects, the same HMAC
-  handshake, exponential backoff on dead peers) over which lookaside
+  handshake, exponential backoff on dead peers) — the same connection
+  type as an accepted socket, with the same read, write and close
+  paths — over which lookaside
   donor records are rumor-pushed and periodically reconciled by digest
   exchange — one server's converged solution becomes every server's
   warm start (see :mod:`repro.net.gossip`);
@@ -40,14 +38,14 @@ in-process library into something real clients connect to:
   the requests in flight with it get in-band ``worker_restarted``
   errors; a draining server (SIGTERM) finishes in-flight work and
   answers queued/new requests with structured ``shutting_down``
-  rejections; a malformed frame — JSON or binary — fails one
-  connection, never the server.
+  rejections; a malformed or hostile frame fails one connection (or
+  one peer link), never the server.
 
 Control verbs ride the same frame stream: ``{"op": "stats"}`` returns
 the merged ``service.*`` metrics of every worker plus the server's own
 ``net.*`` family (connections, bytes, per-shard routing and queue
 depth, worker restarts); ``{"op": "ping"}`` is a liveness check;
-``{"op": "hello"}`` negotiates codec and authentication.
+``{"op": "hello"}`` starts authentication.
 """
 
 from __future__ import annotations
@@ -71,9 +69,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.net import binary as _binary
-from repro.net import framing as _framing
-from repro.net.binary import BINARY_MAGIC, BinaryFrameError, encode_binary_frame
-from repro.net.framing import FrameError, encode_frame
+from repro.net.binary import FrameError, encode_binary_frame
 from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import LookasideTier
 from repro.net.peers import parse_peers
@@ -91,7 +87,6 @@ __all__ = [
     "NetServer",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "SERVER_CODECS",
 ]
 
 #: Rejection reason for requests that arrive at (or are queued in) a
@@ -103,18 +98,11 @@ REJECT_SHUTTING_DOWN = "shutting_down"
 #: its own ``queue_full``).
 REJECT_OVERLOADED = "overloaded"
 
-#: Accepted values for :class:`NetServer`'s ``codec`` parameter:
-#: ``"auto"`` serves both protocols on one listener, ``"binary"`` /
-#: ``"json"`` restrict to one (the other is refused in-band).
-SERVER_CODECS = ("auto", "binary", "json")
-
 _STOP = object()
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 _RECV_CHUNK = 262144
-
-_ASCII_DIGITS = frozenset(b"0123456789")
 
 
 @dataclass
@@ -131,42 +119,33 @@ class _WorkItem:
 _PEER_CONNECT_TIMEOUT_S = 5.0
 
 
-class _PeerLink:
-    """Event-loop state for one *outbound* gossip connection.
+class _Connection:
+    """Event-loop state for one socket: an accepted client connection,
+    or — with ``peer`` set to the gossip peer's index — an outbound
+    link to another server of the mesh.
 
-    Shares the buffer/offset layout of :class:`_Connection` (so
-    :meth:`NetServer._extract_frames` works on both), but is loop-thread
-    confined — no out-buffer lock — and walks a small handshake state
-    machine: ``connecting`` → (``hello`` → ``auth``, when the mesh has a
-    shared secret) → ``ready``.
+    Both kinds share the receive buffer (consumed by offset), the
+    out-buffer and the read/flush/close paths.  A peer link also walks a
+    small handshake state machine: ``connecting`` → (``hello`` →
+    ``auth``, when the mesh has a shared secret) → ``ready``, and must
+    finish it before ``deadline``.
     """
 
-    __slots__ = ("index", "sock", "codec", "buffer", "pos", "out", "state",
-                 "deadline", "dead")
-
-    def __init__(self, index: int, sock: socket.socket, deadline: float):
-        self.index = index
-        self.sock = sock
-        self.codec = "binary"  # peer links always speak binary frames
-        self.buffer = bytearray()
-        self.pos = 0
-        self.out = bytearray()
-        self.state = "connecting"
-        self.deadline = deadline
-        self.dead = False
-
-
-class _Connection:
-    """Event-loop state for one accepted socket."""
-
     __slots__ = (
-        "sock", "codec", "buffer", "pos", "out", "out_lock",
+        "sock", "buffer", "pos", "out", "out_lock",
         "authed", "nonce", "closing", "dead",
+        "peer", "state", "deadline",
     )
 
-    def __init__(self, sock: socket.socket, *, authed: bool):
+    def __init__(
+        self,
+        sock: socket.socket,
+        *,
+        authed: bool,
+        peer: Optional[int] = None,
+        deadline: float = 0.0,
+    ):
         self.sock = sock
-        self.codec: Optional[str] = None  # sniffed from the first bytes
         self.buffer = bytearray()
         self.pos = 0
         self.out = bytearray()
@@ -175,11 +154,9 @@ class _Connection:
         self.nonce: Optional[str] = None
         self.closing = False  # flush pending writes, then close
         self.dead = False  # closed; replies are dropped
-
-    def encode(self, payload: Dict, corr_id: int) -> bytes:
-        if self.codec == "binary":
-            return encode_binary_frame(payload, corr_id)
-        return encode_frame(payload)
+        self.peer = peer
+        self.state = "connecting" if peer is not None else "ready"
+        self.deadline = deadline
 
 
 class NetServer:
@@ -201,9 +178,9 @@ class NetServer:
         ``"affinity"`` (structural fingerprint; default) or ``"random"``
         (the locality-free baseline the benchmarks compare against).
     codec:
-        ``"auto"`` (default) accepts binary and JSON connections on one
-        listener; ``"binary"`` / ``"json"`` refuse the other protocol
-        with an in-band ``codec_disabled`` error.
+        Must be ``"binary"``, the one wire codec; kept as a keyword so
+        existing callers that name it keep working.  Any other value
+        raises :class:`~repro.exceptions.ConfigurationError`.
     secret:
         Optional shared secret.  When set, every connection must pass
         the HMAC challenge/response handshake (``hello`` → ``nonce`` →
@@ -244,8 +221,8 @@ class NetServer:
         lookaside tier are rumor-pushed to every live peer and the tiers
         are periodically reconciled by digest exchange, so one server's
         converged solution warm-starts the whole mesh.  Requires
-        ``lookaside=True`` and a non-JSON codec
-        (:class:`~repro.exceptions.ConfigurationError` otherwise).  Peer
+        ``lookaside=True`` (:class:`~repro.exceptions.ConfigurationError`
+        otherwise).  Peer
         links reuse the HMAC handshake when ``secret`` is set — every
         server in a mesh must share the same secret.
     gossip_interval_s:
@@ -278,7 +255,7 @@ class NetServer:
         workers: int = 1,
         shards: Optional[int] = None,
         routing: str = "affinity",
-        codec: str = "auto",
+        codec: str = "binary",
         secret: Optional[str] = None,
         max_batch: int = 32,
         cache_size: int = 256,
@@ -300,15 +277,15 @@ class NetServer:
         registry: Optional[MetricsRegistry] = None,
         context=None,
     ):
-        if codec not in SERVER_CODECS:
-            raise ValueError(
-                f"unknown codec {codec!r} (expected one of {SERVER_CODECS})"
+        if codec != "binary":
+            raise ConfigurationError(
+                f"unknown codec {codec!r}: the server speaks only the "
+                f"binary wire codec"
             )
         self.host = host
         self.port = int(port)
         self.num_workers = max(1, int(workers))
         self.num_shards = int(shards) if shards is not None else self.num_workers
-        self.codec = codec
         self.registry = registry if registry is not None else MetricsRegistry()
         self.router = ShardRouter(self.num_shards, policy=routing)
         self.queue_depth = max(1, int(queue_depth))
@@ -341,11 +318,6 @@ class NetServer:
                 "records, and without --lookaside there is nothing to "
                 "replicate (start with --lookaside as well)"
             )
-        if self.peer_addresses and codec == "json":
-            raise ConfigurationError(
-                "gossip peers speak the binary codec; codec='json' cannot "
-                "join a mesh (use codec='auto' or 'binary')"
-            )
         self.server_id = server_id
         self.gossip_interval_s = float(gossip_interval_s)
         self.gossip_budget = int(gossip_budget)
@@ -377,7 +349,7 @@ class NetServer:
         self._started = False
         self._stopped = threading.Event()
         self._gossip: Optional[GossipAgent] = None
-        self._peer_links: List[Optional[_PeerLink]] = []
+        self._peer_links: List[Optional[_Connection]] = []
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -515,12 +487,6 @@ class NetServer:
                         self._accept_ready()
                     elif key.data == "wake":
                         self._drain_wake()
-                    elif isinstance(key.data, _PeerLink):
-                        link = key.data
-                        if mask & _WRITE and not link.dead:
-                            self._peer_writable(link)
-                        if mask & _READ and not link.dead:
-                            self._peer_readable(link)
                     else:
                         conn = key.data
                         if mask & _WRITE:
@@ -561,8 +527,8 @@ class NetServer:
                     pass
             self._close_conn(conn)
         for link in self._peer_links:
-            if link is not None and not link.dead:
-                self._peer_fail(link, "server shutting down", quiet=True)
+            if link is not None:
+                self._close_conn(link)
         for sock in (self._listener, self._wake_recv, self._wake_send):
             if sock is not None:
                 try:
@@ -615,8 +581,6 @@ class NetServer:
             return
         self.registry.counter_inc("net.bytes_in", len(chunk))
         conn.buffer += chunk
-        if conn.codec is None and not self._sniff(conn):
-            return
         frames, error = self._extract_frames(conn)
         for payload, corr_id in frames:
             self._handle_payload(conn, payload, corr_id)
@@ -624,48 +588,14 @@ class NetServer:
                 return
         if error is not None:
             self.registry.counter_inc("net.bad_frames")
-            self._fail_conn(
-                conn,
-                {"status": "error", "reason": "bad_frame", "detail": str(error)},
-            )
-
-    def _sniff(self, conn: _Connection) -> bool:
-        """Decide the connection's codec from its first bytes.  Returns
-        ``True`` once decided; ``False`` while more bytes are needed.  A
-        first byte that can start neither protocol fails the connection
-        in-band (as JSON — the one codec any peer can read)."""
-        first = conn.buffer[0]
-        if first in _ASCII_DIGITS:
-            conn.codec = "json"
-        elif first == BINARY_MAGIC[0]:
-            if len(conn.buffer) < len(BINARY_MAGIC):
-                return False  # wait for the rest of the magic
-            if bytes(conn.buffer[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
-                conn.codec = "json"  # readable error for an unknown peer
-                self.registry.counter_inc("net.bad_frames")
+            if conn.peer is not None:
+                # A peer is a server, not a client: it would read an
+                # in-band error as a request.  Drop the link and back off.
+                self._close_conn(conn)
+            else:
                 self._fail_conn(conn, {
-                    "status": "error", "reason": "bad_frame",
-                    "detail": f"bad frame magic {bytes(conn.buffer[:4])!r}",
+                    "status": "error", "reason": "bad_frame", "detail": str(error),
                 })
-                return False
-            conn.codec = "binary"
-        else:
-            conn.codec = "json"
-            self.registry.counter_inc("net.bad_frames")
-            self._fail_conn(conn, {
-                "status": "error", "reason": "bad_frame",
-                "detail": "first byte starts neither a binary nor a JSON frame",
-            })
-            return False
-        self.registry.counter_inc(f"net.codec.{conn.codec}")
-        if self.codec != "auto" and conn.codec != self.codec:
-            self.registry.counter_inc("net.rejected.codec_disabled")
-            self._fail_conn(conn, {
-                "status": "error", "reason": "codec_disabled",
-                "detail": f"this server speaks only the {self.codec} codec",
-            })
-            return False
-        return True
 
     def _extract_frames(self, conn: _Connection):
         """``(frames, error)``: every complete ``(payload, corr_id)``
@@ -677,30 +607,18 @@ class NetServer:
         error: Optional[FrameError] = None
         buffer, pos = conn.buffer, conn.pos
         try:
-            if conn.codec == "binary":
-                while True:
-                    parsed = _binary._parse_header(buffer, pos)
-                    if parsed is None:
-                        break
-                    kind, corr_id, length = parsed
-                    start = pos + _binary.HEADER_BYTES
-                    if len(buffer) < start + length:
-                        break
-                    body = bytes(buffer[start : start + length])
-                    frames.append((_binary._decode_body(kind, body), corr_id))
-                    pos = start + length
-            else:
-                while True:
-                    parsed = _framing._parse_prefix(buffer, pos)
-                    if parsed is None:
-                        break
-                    length, start = parsed
-                    if len(buffer) < start + length:
-                        break
-                    body = bytes(buffer[start : start + length])
-                    frames.append((_framing._load_body(body), 0))
-                    pos = start + length
-        except FrameError as exc:  # BinaryFrameError subclasses FrameError
+            while True:
+                parsed = _binary._parse_header(buffer, pos)
+                if parsed is None:
+                    break
+                kind, corr_id, length = parsed
+                start = pos + _binary.HEADER_BYTES
+                if len(buffer) < start + length:
+                    break
+                body = bytes(buffer[start : start + length])
+                frames.append((_binary._decode_body(kind, body), corr_id))
+                pos = start + length
+        except FrameError as exc:
             error = exc
         if pos == len(buffer):
             buffer.clear()
@@ -714,19 +632,23 @@ class NetServer:
     # -- writing ---------------------------------------------------------------
 
     def _reply(self, conn: _Connection, corr_id: int, payload: Dict) -> Optional[int]:
-        """Queue one response on ``conn`` (thread-safe; shard threads and
+        """Queue one frame on ``conn`` (thread-safe; shard threads and
         the loop both land here) and nudge the loop to flush it.  Returns
         the bytes queued (``None`` when nothing was sent) so gossip
-        replies can be budget-accounted."""
+        traffic can be budget-accounted."""
         if conn.dead:
             return None
         try:
-            data = conn.encode(payload, corr_id)
-        except FrameError:
-            return None  # response too large to frame; nothing useful to send
+            data = encode_binary_frame(payload, corr_id)
+        except FrameError as exc:
+            # Too large (or, for gossip records, malformed) to frame;
+            # nothing useful can be sent.
+            self.registry.event("net_encode_error", detail=str(exc))
+            return None
         with conn.out_lock:
             conn.out += data
-        self.registry.counter_inc("net.responses")
+        if conn.peer is None:  # frames on a peer link are requests
+            self.registry.counter_inc("net.responses")
         if threading.current_thread() is self._loop_thread:
             self._flush(conn)
         else:
@@ -747,9 +669,14 @@ class NetServer:
 
     def _flush(self, conn: _Connection) -> None:
         """Write as much queued output as the socket accepts (loop thread
-        only); keeps WRITE interest registered while bytes remain."""
+        only); keeps WRITE interest registered while bytes remain.  A
+        peer link's first writable event completes its connect."""
         if conn.dead:
             return
+        if conn.state == "connecting":
+            self._peer_connected(conn)
+            if conn.dead:
+                return
         error = False
         with conn.out_lock:
             while conn.out:
@@ -774,6 +701,8 @@ class NetServer:
             pass
 
     def _close_conn(self, conn: _Connection) -> None:
+        """Close one connection; a failed peer link is also handed back to
+        the gossip agent, which schedules the reconnect with backoff."""
         if conn.dead:
             return
         conn.dead = True
@@ -785,6 +714,12 @@ class NetServer:
             conn.sock.close()
         except OSError:
             pass
+        if conn.peer is not None:
+            self._peer_links[conn.peer] = None
+            # A link closed by the server's own shutdown is not a failure.
+            if not self._loop_stop.is_set():
+                self._gossip.peer_failed(conn.peer)
+            return
         with self._conn_lock:
             self._connections.discard(conn)
             self.registry.gauge_set(
@@ -801,13 +736,13 @@ class NetServer:
         agent = self._gossip
         for peer in agent.peers:
             link = self._peer_links[peer.index]
-            if link is None or link.dead:
+            if link is None:
                 if peer.due(now):
                     self._peer_connect(peer.index)
             elif link.state != "ready" and now > link.deadline:
-                self._peer_fail(link, "connect/handshake timed out")
+                self._close_conn(link)  # connect/handshake timed out
             elif link.state == "ready" and agent.peer_stale(peer.index, now):
-                self._peer_fail(link, "heartbeat timeout")
+                self._close_conn(link)  # heartbeat timeout
         agent.tick(now)
 
     def _peer_connect(self, index: int) -> None:
@@ -818,7 +753,6 @@ class NetServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        link = _PeerLink(index, sock, time.monotonic() + _PEER_CONNECT_TIMEOUT_S)
         try:
             err = sock.connect_ex((peer.host, peer.port))
         except OSError:
@@ -830,46 +764,26 @@ class NetServer:
                 pass
             self._gossip.peer_failed(index)
             return
+        link = _Connection(
+            sock, authed=True, peer=index,
+            deadline=time.monotonic() + _PEER_CONNECT_TIMEOUT_S,
+        )
         self._peer_links[index] = link
         self._selector.register(sock, _READ | _WRITE, data=link)
 
-    def _peer_writable(self, link: _PeerLink) -> None:
-        if link.state == "connecting":
-            err = link.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if err:
-                self._peer_fail(link, f"connect failed (errno {err})")
-                return
-            if self._secret is not None:
-                link.state = "hello"
-                self._link_queue(link, {"op": "hello"})
-            else:
-                self._link_ready(link)
-        self._link_flush(link)
+    def _peer_connected(self, link: _Connection) -> None:
+        """The non-blocking connect finished: start the handshake."""
+        if link.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            self._close_conn(link)  # connect refused
+        elif self._secret is not None:
+            link.state = "hello"
+            self._reply(link, 0, {"op": "hello"})
+        else:
+            self._link_ready(link)
 
-    def _peer_readable(self, link: _PeerLink) -> None:
-        try:
-            chunk = link.sock.recv(_RECV_CHUNK)
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            self._peer_fail(link, f"read failed ({exc})")
-            return
-        if not chunk:
-            self._peer_fail(link, "peer closed the connection")
-            return
-        self.registry.counter_inc("net.bytes_in", len(chunk))
-        link.buffer += chunk
-        frames, error = self._extract_frames(link)
-        for payload, _corr_id in frames:
-            self._gossip.note_peer_frame(link.index)
-            self._link_frame(link, payload)
-            if link.dead:
-                return
-        if error is not None:
-            self._peer_fail(link, f"bad frame from peer ({error})")
-
-    def _link_frame(self, link: _PeerLink, payload: Dict) -> None:
+    def _link_frame(self, link: _Connection, payload: Dict) -> None:
         """Walk the handshake, then hand gossip traffic to the agent."""
+        self._gossip.note_peer_frame(link.peer)
         status = payload.get("status")
         if link.state == "hello":
             if status == "challenge" and isinstance(payload.get("nonce"), str):
@@ -879,97 +793,40 @@ class NetServer:
                     hashlib.sha256,
                 ).hexdigest()
                 link.state = "auth"
-                self._link_queue(link, {"op": "auth", "mac": mac})
+                self._reply(link, 0, {"op": "auth", "mac": mac})
             elif status == "ok":
                 self._link_ready(link)  # peer runs with no secret
             else:
-                self._peer_fail(link, f"handshake refused ({status!r})")
+                self._close_conn(link)  # handshake refused
         elif link.state == "auth":
             if status == "ok":
                 self._link_ready(link)
             else:
-                self._peer_fail(link, f"authentication failed ({status!r})")
+                self._close_conn(link)  # authentication failed
         elif status == "error":
             # The peer answered a gossip frame with a protocol error —
             # e.g. gossip disabled over there.  Back off rather than spin.
-            self._peer_fail(
-                link, f"peer rejected gossip ({payload.get('reason') or payload.get('detail')})"
-            )
+            self._close_conn(link)
         else:
-            self._gossip.handle_remote(
-                payload, partial(self._link_queue, link)
-            )
+            self._gossip.handle_remote(payload, partial(self._reply, link, 0))
 
-    def _link_ready(self, link: _PeerLink) -> None:
+    def _link_ready(self, link: _Connection) -> None:
         link.state = "ready"
-        self._gossip.peer_connected(link.index)
+        self._gossip.peer_connected(link.peer)
 
     def _gossip_send(self, index: int, payload: Dict) -> Optional[int]:
         """The agent's ``sender``: frame onto the ready link, or ``None``."""
         link = self._peer_links[index] if index < len(self._peer_links) else None
-        if link is None or link.dead or link.state != "ready":
+        if link is None or link.state != "ready":
             return None
-        return self._link_queue(link, payload)
-
-    def _link_queue(self, link: _PeerLink, payload: Dict) -> Optional[int]:
-        """Encode and queue one frame on a peer link (loop thread only).
-        Returns the bytes queued, or ``None`` when framing failed."""
-        if link.dead:
-            return None
-        try:
-            data = encode_binary_frame(payload, 0)
-        except FrameError as exc:
-            self.registry.counter_inc("net.bad_frames")
-            self.registry.event(
-                "net_gossip_encode_error",
-                peer=self._gossip.peers[link.index].address,
-                detail=str(exc),
-            )
-            return None
-        link.out += data
-        self._link_flush(link)
-        return len(data)
-
-    def _link_flush(self, link: _PeerLink) -> None:
-        if link.dead:
-            return
-        while link.out:
-            try:
-                sent = link.sock.send(link.out)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._peer_fail(link, f"write failed ({exc})")
-                return
-            self.registry.counter_inc("net.bytes_out", sent)
-            del link.out[:sent]
-        want = _READ | _WRITE if (link.out or link.state == "connecting") else _READ
-        try:
-            self._selector.modify(link.sock, want, data=link)
-        except (KeyError, ValueError, OSError):
-            pass
-
-    def _peer_fail(self, link: _PeerLink, reason: str, *, quiet: bool = False) -> None:
-        """Tear down one peer link and let the agent schedule the retry."""
-        if link.dead:
-            return
-        link.dead = True
-        try:
-            self._selector.unregister(link.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            link.sock.close()
-        except OSError:
-            pass
-        if link.index < len(self._peer_links):
-            self._peer_links[link.index] = None
-        if self._gossip is not None and not quiet:
-            self._gossip.peer_failed(link.index)
+        return self._reply(link, 0, payload)
 
     # -- frame handling --------------------------------------------------------
 
     def _handle_payload(self, conn: _Connection, payload: Dict, corr_id: int) -> None:
+        if conn.peer is not None:
+            self._link_frame(conn, payload)
+            return
         op = payload.get("op")
         if op is not None:
             self._handle_op(conn, payload, corr_id, str(op))
@@ -1063,13 +920,6 @@ class NetServer:
                     "detail": "this server is not in a gossip mesh "
                               "(start it with --peers)",
                 })
-            elif conn.codec != "binary":
-                self._reply(conn, corr_id, {
-                    "op": op, "status": "error",
-                    "reason": "gossip_requires_binary",
-                    "detail": "gossip records are packed float64 arrays; "
-                              "connect with the binary codec",
-                })
             else:
                 self._gossip.handle_remote(
                     payload, partial(self._reply, conn, corr_id)
@@ -1081,13 +931,7 @@ class NetServer:
             })
 
     def _handle_hello(self, conn: _Connection, corr_id: int) -> None:
-        reply = {
-            "op": "hello",
-            "status": "ok",
-            "codec": conn.codec,
-            "codecs": ["binary", "json"] if self.codec == "auto" else [self.codec],
-            "auth": self._secret is not None,
-        }
+        reply = {"op": "hello", "status": "ok", "auth": self._secret is not None}
         if self._secret is not None and not conn.authed:
             conn.nonce = _secrets.token_hex(16)
             reply["status"] = "challenge"
@@ -1277,7 +1121,6 @@ class NetServer:
         snapshot["lookaside"] = (
             len(self.lookaside) if self.lookaside is not None else None
         )
-        snapshot["codec"] = self.codec
         snapshot["auth"] = self._secret is not None
         snapshot["server_id"] = self.server_id
         snapshot["gossip"] = (
@@ -1293,5 +1136,5 @@ class NetServer:
         return (
             f"NetServer({self.host}:{self.port}, {state}, "
             f"workers={self.num_workers}, shards={self.num_shards}, "
-            f"routing={self.router.policy!r}, codec={self.codec!r})"
+            f"routing={self.router.policy!r})"
         )

@@ -30,6 +30,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.net import (
     GOSSIP_OPS,
+    BinaryFrameReader,
     GossipAgent,
     LookasideTier,
     NetClient,
@@ -45,12 +46,13 @@ from repro.net.binary import (
     KIND_GOSSIP_DIGEST,
     KIND_GOSSIP_PULL,
     KIND_GOSSIP_RECORDS,
-    BinaryFrameError,
+    FrameError,
     _parse_header,
 )
 from repro.obs.registry import MetricsRegistry
 
 from tests.test_net import cross_structure_payloads, varied_payloads
+from tests.test_net_unit import corrupt_first, gossip_records_payload
 
 
 class FakeClock:
@@ -380,7 +382,7 @@ class TestGossipWire:
         good = record_for("k")
         wrong_params = {**good, "origin": "a", "epoch": 0, "ttl_s": None,
                         "params": np.zeros(3)}  # must be 2n+1 = 7
-        with pytest.raises(BinaryFrameError):
+        with pytest.raises(FrameError):
             encode_binary_frame(
                 {"op": "gossip_records", "server": "a",
                  "records": [wrong_params]}, 0,
@@ -693,6 +695,43 @@ class TestGossipMesh:
             assert a.lookaside._records["k1"]["allocation"][0] == 0.9
         finally:
             stop_mesh((a, b))
+
+    def test_bad_records_frame_fails_the_peer_link_not_the_server(self):
+        # A fake peer accepts the server's outbound link, then answers it
+        # with a records batch whose key is not UTF-8.  The link must be
+        # dropped and backed off; the server keeps serving.
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(10.0)
+        host, port = listener.getsockname()
+        server = NetServer(
+            port=0, workers=1, lookaside=True, peers=f"{host}:{port}",
+            gossip_interval_s=0.05, server_id="s0",
+        ).start()
+        try:
+            fake, _ = listener.accept()
+            listener.close()  # reconnects are refused: the peer stays down
+            fake.settimeout(10.0)
+            peer = server._gossip.peers[0]
+            assert wait_until(lambda: peer.ready)
+            fake.sendall(corrupt_first(
+                encode_binary_frame(gossip_records_payload(key="kkk")), b"kkk"
+            ))
+            reader = BinaryFrameReader(fake)
+            while reader.read() is not None:  # heartbeats, then the close
+                pass
+            fake.close()
+            assert wait_until(lambda: not peer.ready and peer.failures >= 1)
+            assert server._loop_thread.is_alive()
+            counters = server.stats()["counters"]
+            assert counters["net.bad_frames"] == 1
+            assert counters["net.gossip.peer_down"] == 1
+            with NetClient(*server.address, retries=0) as client:
+                assert client.ping()
+        finally:
+            server.shutdown()
+            listener.close()
 
     def test_gossip_ops_refused_without_a_mesh(self):
         with NetServer(port=0, workers=1) as server:

@@ -29,10 +29,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.net import (
     BINARY_MAGIC,
     BinaryFrameReader,
-    FrameReader,
     NetAuthError,
     NetClient,
     NetConnectionError,
@@ -40,12 +40,14 @@ from repro.net import (
     NetTimeout,
     REJECT_OVERLOADED,
     REJECT_SHUTTING_DOWN,
-    encode_frame,
-    send_frame,
+    encode_binary_frame,
+    send_binary_frame,
 )
+from repro.net.binary import KIND_JSON
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.service import AllocationService, ServiceClient
 from repro.service.codec import parse_request
+from tests.test_net_unit import corrupt_first, raw_frame
 
 
 def ring_payload(i=0, *, nodes=4, mu=1.5, alpha=0.3, start="skewed"):
@@ -160,63 +162,45 @@ class TestLoopbackParity:
 
 
 class TestCodecNegotiation:
-    """One listener, two protocols: the first bytes of a connection
-    decide, and both codecs produce identical answers."""
-
-    def test_binary_and_json_clients_share_one_server(self):
-        payloads = varied_payloads(6)
-        with NetServer(port=0, workers=2) as server:
-            host, port = server.address
-            with NetClient(host, port, codec="binary") as binary_client, \
-                    NetClient(host, port, codec="json") as json_client:
-                got_binary = [binary_client.solve_payload(dict(p)) for p in payloads]
-                got_json = [json_client.solve_payload(dict(p)) for p in payloads]
-                stats = binary_client.stats()
-        for b, j in zip(got_binary, got_json):
-            assert b["status"] == "ok"
-            # The JSON client repeats what the binary client already
-            # solved, so its answers may be cache hits (iterations 0);
-            # the *answer* — allocation and cost — is bit-for-bit equal.
-            keep = ("id", "status", "allocation", "cost")
-            assert {k: b[k] for k in keep} == {k: j[k] for k in keep}
-        counters = stats["counters"]
-        assert counters["net.codec.binary"] >= 1
-        assert counters["net.codec.json"] >= 1
+    """One protocol per listener — the binary frame.  Anything else is
+    refused in-band on that one connection."""
 
     def test_hello_reports_negotiation(self):
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary") as client:
+            with NetClient(host, port) as client:
                 reply = client.request({"op": "hello"})
-        assert reply["status"] == "ok"
-        assert reply["codec"] == "binary"
-        assert reply["codecs"] == ["binary", "json"]
-        assert reply["auth"] is False
+        assert reply == {"op": "hello", "status": "ok", "auth": False}
 
     def test_single_codec_server_refuses_the_other_protocol(self):
+        for codec in ("auto", "json"):
+            with pytest.raises(ConfigurationError, match="binary"):
+                NetServer(port=0, codec=codec)
         with NetServer(port=0, workers=1, codec="binary") as server:
             host, port = server.address
-            with NetClient(host, port, codec="json", retries=0) as client:
-                reply = client.request({"op": "ping"})
+            legacy = socket.create_connection((host, port), timeout=5.0)
+            try:
+                # A length-prefixed JSON frame, as pre-binary clients sent.
+                legacy.sendall(b'13\n{"op":"ping"}')
+                reader = BinaryFrameReader(legacy)
+                reply, _rid = reader.read()
                 assert reply["status"] == "error"
-                assert reply["reason"] == "codec_disabled"
-            with NetClient(host, port, codec="binary") as client:
+                assert reply["reason"] == "bad_frame"
+                assert "magic" in reply["detail"]
+                assert reader.read() is None  # server closed it
+            finally:
+                legacy.close()
+            with NetClient(host, port) as client:
                 assert client.ping()
-        with NetServer(port=0, workers=1, codec="json") as server:
-            host, port = server.address
-            with NetClient(host, port, codec="binary", retries=0) as client:
-                reply = client.request({"op": "ping"})
-                assert reply["status"] == "error"
-                assert reply["reason"] == "codec_disabled"
 
     def test_malformed_binary_header_fails_only_that_connection(self):
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
             bad = socket.create_connection((host, port), timeout=5.0)
             try:
-                # Valid magic, absurd version: sniffs as binary, then the
-                # header parse fails and the error comes back in-band as
-                # a binary frame before the server closes the connection.
+                # Valid magic, absurd version: the header parse fails and
+                # the error comes back in-band as a binary frame before
+                # the server closes the connection.
                 bad.sendall(BINARY_MAGIC + b"\xff" + b"\x00" * 40)
                 reader = BinaryFrameReader(bad)
                 reply, _rid = reader.read()
@@ -226,25 +210,52 @@ class TestCodecNegotiation:
                 assert reader.read() is None  # server closed it
             finally:
                 bad.close()
-            # The server itself is fine, for both codecs.
-            with NetClient(host, port, codec="binary") as client:
+            # The server itself is fine.
+            with NetClient(host, port) as client:
                 assert client.ping()
-            with NetClient(host, port, codec="json") as client:
-                assert client.ping()
+
+
+class TestHostileFrames:
+    """A frame whose body does not decode — bad UTF-8 in a packed string,
+    JSON nested past the parser's recursion limit — used to kill the
+    event-loop thread, after which the listener refused everyone."""
+
+    def test_hostile_bodies_get_bad_frame_and_the_server_survives(self):
+        hostile = [
+            corrupt_first(encode_binary_frame(varied_payloads(1)[0], 3), b"v0"),
+            raw_frame(KIND_JSON, b"[" * 200000, 4),
+        ]
+        with NetServer(port=0, workers=1) as server:
+            host, port = server.address
+            for frame in hostile:
+                bad = socket.create_connection((host, port), timeout=5.0)
+                try:
+                    bad.sendall(frame)
+                    reader = BinaryFrameReader(bad)
+                    reply, _rid = reader.read()
+                    assert reply["status"] == "error"
+                    assert reply["reason"] == "bad_frame"
+                    assert reader.read() is None  # that connection is closed
+                finally:
+                    bad.close()
+                assert server._loop_thread.is_alive()
+                # A fresh connection is still served.
+                with NetClient(host, port, retries=0) as client:
+                    assert client.ping()
+            assert server.stats()["counters"]["net.bad_frames"] == 2
 
 
 class TestAuth:
-    def test_both_codecs_authenticate_with_the_right_secret(self):
+    def test_right_secret_authenticates(self):
         with NetServer(port=0, workers=1, secret="s3cret") as server:
             host, port = server.address
-            for codec in ("binary", "json"):
-                with NetClient(host, port, codec=codec, secret="s3cret") as client:
-                    response = client.solve_payload(ring_payload())
-                    assert response["status"] == "ok"
+            with NetClient(host, port, secret="s3cret") as client:
+                response = client.solve_payload(ring_payload())
+                assert response["status"] == "ok"
             with NetClient(host, port, secret="s3cret") as client:
                 stats = client.stats()
         assert stats["auth"] is True
-        assert stats["counters"]["net.auth_ok"] == 3.0
+        assert stats["counters"]["net.auth_ok"] == 2.0
 
     def test_wrong_secret_is_rejected_in_band(self):
         with NetServer(port=0, workers=1, secret="s3cret") as server:
@@ -276,7 +287,7 @@ class TestPipelining:
         expected = [local.solve_payload(dict(p)) for p in payloads]
         with NetServer(port=0, workers=2) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary") as client:
+            with NetClient(host, port) as client:
                 got = client.solve_payloads([dict(p) for p in payloads])
         assert [r["id"] for r in got] == [p["id"] for p in payloads]
         for want, have in zip(expected, got):
@@ -288,25 +299,20 @@ class TestPipelining:
             assert {k: v for k, v in have.items() if k not in skip} == \
                 {k: v for k, v in want.items() if k not in skip}
 
-    def test_json_burst_matches_by_payload_id(self):
-        payloads = varied_payloads(8, seed=6)
-        with NetServer(port=0, workers=2) as server:
-            host, port = server.address
-            with NetClient(host, port, codec="json") as client:
-                got = client.solve_payloads([dict(p) for p in payloads])
-        assert [r["id"] for r in got] == [p["id"] for p in payloads]
-        assert all(r["status"] == "ok" for r in got)
-
-    def test_burst_without_ids_gets_client_assigned_ids(self):
-        payloads = [dict(ring_payload(i)) for i in range(4)]
+    def test_burst_without_ids_gets_server_assigned_ids(self):
+        # Responses are matched by transport request id, so a burst needs
+        # no payload ids at all; the server assigns one to each request.
+        payloads = [dict(ring_payload(i, nodes=4 + i)) for i in range(4)]
         for p in payloads:
             del p["id"]
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
-            with NetClient(host, port, codec="json") as client:
+            with NetClient(host, port) as client:
                 got = client.solve_payloads(payloads)
         assert all(r["status"] == "ok" for r in got)
-        assert all(r["id"].startswith("cli-") for r in got)
+        assert [len(r["allocation"]) for r in got] == [4, 5, 6, 7]  # input order
+        assert all(r["id"].startswith("req-") for r in got)
+        assert len({r["id"] for r in got}) == 4
 
 
 class TestBackpressure:
@@ -320,13 +326,13 @@ class TestBackpressure:
             host, port = server.address
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                send_frame(sock, slow)
+                send_binary_frame(sock, slow, 1)
                 time.sleep(0.5)  # worker picked it up; queue is empty
-                send_frame(sock, ring_payload(1))
+                send_binary_frame(sock, ring_payload(1), 2)
                 time.sleep(0.2)  # now parked in the bounded shard queue
-                send_frame(sock, ring_payload(2))
-                reader = FrameReader(sock)
-                replies = [reader.read() for _ in range(3)]
+                send_binary_frame(sock, ring_payload(2), 3)
+                reader = BinaryFrameReader(sock)
+                replies = [reader.read()[0] for _ in range(3)]
             finally:
                 sock.close()
             stats = server.stats()
@@ -458,21 +464,21 @@ class TestClientRobustness:
 
         def flaky_server():
             first, _ = listener.accept()
-            FrameReader(first).read()
+            BinaryFrameReader(first).read()
             first.close()  # mid-request drop
             second, _ = listener.accept()
-            payload = FrameReader(second).read()
-            send_frame(second, {"id": payload.get("id", ""), "status": "ok",
-                                "allocation": [1.0], "cost": 0.0,
-                                "iterations": 0, "converged": True})
+            payload, request_id = BinaryFrameReader(second).read()
+            send_binary_frame(second, {"id": payload.get("id", ""), "status": "ok",
+                                       "allocation": [1.0], "cost": 0.0,
+                                       "iterations": 0, "converged": True},
+                              request_id)
             second.close()
 
         thread = threading.Thread(target=flaky_server, daemon=True)
         thread.start()
         try:
-            # codec="json": the fake server above reads JSON frames.
             with NetClient(host, port, timeout_s=10.0, retries=2,
-                           backoff_s=0.01, codec="json") as client:
+                           backoff_s=0.01) as client:
                 response = client.solve_payload(ring_payload())
                 assert response["status"] == "ok"
                 assert client.metrics["retries"] == 1
@@ -502,11 +508,12 @@ class TestClientRobustness:
             host, port = server.address
             bad = socket.create_connection((host, port), timeout=5.0)
             try:
-                bad.sendall(b"x" * 64)  # no length line within 32 bytes
-                reply = FrameReader(bad).read()
+                bad.sendall(b"x" * 64)  # no frame magic
+                reader = BinaryFrameReader(bad)
+                reply, _rid = reader.read()
                 assert reply["status"] == "error"
                 assert reply["reason"] == "bad_frame"
-                assert FrameReader(bad).read() is None  # server closed it
+                assert reader.read() is None  # server closed it
             finally:
                 bad.close()
             # The server itself is fine.

@@ -1,9 +1,10 @@
-"""Unit tests for the repro.net building blocks: framing (JSON and
-binary), routing, the request/response wire codec round trip, and the
-client's retry/metric bookkeeping (against scripted fake servers).
+"""Unit tests for the repro.net building blocks: the binary wire codec
+(framing, packed bodies, hostile and fuzzed input), routing, the
+request/response wire codec round trip, and the client's retry/metric
+bookkeeping (against scripted fake servers).
 
 The loopback integration suite (real worker processes, crash recovery,
-codec negotiation, auth) lives in tests/test_net.py.
+auth, pipelining) lives in tests/test_net.py.
 """
 
 import socket
@@ -11,26 +12,34 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
 from repro.network.builders import ring_graph, star_graph
 from repro.net import (
     BINARY_MAGIC,
+    BINARY_VERSION,
     MAX_FRAME_BYTES,
-    BinaryFrameError,
     BinaryFrameReader,
     FrameError,
-    FrameReader,
     NetClient,
     ShardRouter,
     decode_binary_frames,
-    decode_frames,
     encode_binary_frame,
-    encode_frame,
     send_binary_frame,
-    send_frame,
     shard_of_key,
+)
+from repro.net.binary import (
+    _HEADER,
+    HEADER_BYTES,
+    KIND_GOSSIP_DIGEST,
+    KIND_GOSSIP_PULL,
+    KIND_GOSSIP_RECORDS,
+    KIND_JSON,
+    KIND_RESULT,
+    KIND_SOLVE,
 )
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.queueing import MD1Delay
@@ -62,51 +71,59 @@ def socket_pair():
     return a, b
 
 
+def raw_frame(kind, body, request_id=0, *, length=None):
+    """A frame with an arbitrary kind and body (and, optionally, a
+    declared length that disagrees with the body)."""
+    declared = len(body) if length is None else length
+    return _HEADER.pack(BINARY_MAGIC, BINARY_VERSION, kind, 0, request_id, declared) + body
+
+
+def frame_kind(frame):
+    return frame[5]
+
+
 class TestFraming:
+    """The 20-byte header layer, whatever the body kind."""
+
     def test_encode_decode_round_trip(self):
         payloads = [{"id": "a"}, {"nested": {"x": [1, 2.5, None]}}, {}]
-        blob = b"".join(encode_frame(p) for p in payloads)
-        frames, rest = decode_frames(blob)
-        assert frames == payloads
+        blob = b"".join(encode_binary_frame(p, i) for i, p in enumerate(payloads))
+        frames, rest = decode_binary_frames(blob)
+        assert frames == [(p, i) for i, p in enumerate(payloads)]
         assert rest == b""
 
     def test_partial_frames_stay_buffered(self):
-        blob = encode_frame({"id": "a"}) + encode_frame({"id": "b"})
-        cut = len(blob) - 3
-        frames, rest = decode_frames(blob[:cut])
-        assert frames == [{"id": "a"}]
-        assert rest == blob[len(encode_frame({"id": "a"})):cut]
-        frames2, rest2 = decode_frames(rest + blob[cut:])
-        assert frames2 == [{"id": "b"}]
+        # The cut falls inside the second frame's *header*.
+        first = encode_binary_frame({"id": "a"}, 1)
+        blob = first + encode_binary_frame({"id": "b"}, 2)
+        cut = len(first) + HEADER_BYTES // 2
+        frames, rest = decode_binary_frames(blob[:cut])
+        assert frames == [({"id": "a"}, 1)]
+        assert rest == blob[len(first):cut]
+        frames2, rest2 = decode_binary_frames(rest + blob[cut:])
+        assert frames2 == [({"id": "b"}, 2)]
         assert rest2 == b""
 
-    def test_prefix_must_be_decimal(self):
-        with pytest.raises(FrameError, match="decimal"):
-            decode_frames(b"nope\n{}")
-
-    def test_missing_newline_within_32_bytes_is_an_error(self):
-        with pytest.raises(FrameError, match="length line"):
-            decode_frames(b"9" * 40)
-
     def test_declared_length_capped(self):
+        # Refused from the header alone: no body byte is needed.
         with pytest.raises(FrameError, match="exceeds"):
-            decode_frames(b"%d\n" % (MAX_FRAME_BYTES + 1))
+            decode_binary_frames(raw_frame(KIND_JSON, b"", length=MAX_FRAME_BYTES + 1))
 
     def test_body_must_be_json_object(self):
         with pytest.raises(FrameError, match="JSON object"):
-            decode_frames(encode_frame({"x": 1}).replace(b'{"x":1}', b'[1,2,3]'))
+            decode_binary_frames(raw_frame(KIND_JSON, b"[1,2,3]"))
 
     def test_body_must_be_valid_json(self):
-        with pytest.raises(FrameError, match="not valid JSON"):
-            decode_frames(b"3\nxyz")
+        with pytest.raises(FrameError, match="JSONDecodeError"):
+            decode_binary_frames(raw_frame(KIND_JSON, b"xyz"))
 
     def test_reader_round_trip_over_socketpair(self):
         a, b = socket_pair()
         try:
-            sent = send_frame(a, {"id": "r1", "alpha": 0.25})
-            assert sent == len(encode_frame({"id": "r1", "alpha": 0.25}))
-            reader = FrameReader(b)
-            assert reader.read() == {"id": "r1", "alpha": 0.25}
+            sent = send_binary_frame(a, {"id": "r1", "alpha": 0.25}, 5)
+            assert sent == len(encode_binary_frame({"id": "r1", "alpha": 0.25}, 5))
+            reader = BinaryFrameReader(b)
+            assert reader.read() == ({"id": "r1", "alpha": 0.25}, 5)
             assert reader.bytes_read >= sent
             a.close()
             assert reader.read() is None  # clean EOF at a frame boundary
@@ -114,13 +131,13 @@ class TestFraming:
             b.close()
 
     def test_reader_raises_on_mid_frame_eof(self):
+        # EOF inside the header (TestBinaryCodec cuts inside a body).
         a, b = socket_pair()
         try:
-            a.sendall(encode_frame({"id": "r1"})[:-2])
+            a.sendall(encode_binary_frame({"id": "r1"})[: HEADER_BYTES - 3])
             a.close()
-            reader = FrameReader(b)
             with pytest.raises(FrameError, match="mid-frame"):
-                reader.read()
+                BinaryFrameReader(b).read()
         finally:
             b.close()
 
@@ -128,9 +145,12 @@ class TestFraming:
         a, b = socket_pair()
         try:
             for i in range(5):
-                send_frame(a, {"i": i})
+                send_binary_frame(a, {"i": i}, 100 + i)
             a.close()
-            assert [p["i"] for p in FrameReader(b)] == list(range(5))
+            reader = BinaryFrameReader(b)
+            got = [reader.read() for _ in range(5)]
+            assert got == [({"i": i}, 100 + i) for i in range(5)]
+            assert reader.read() is None
         finally:
             b.close()
 
@@ -208,23 +228,24 @@ class TestBinaryCodec:
         )
 
     def test_ok_response_round_trips_to_exact_json_dict(self):
-        response = SolveResponse(
-            request_id="r1",
-            status="ok",
-            allocation=np.array([0.25, 0.75]),
-            cost=1.2345,
-            iterations=17,
-            converged=True,
-            cache="warm",
-            batch_size=3,
-            latency_s=0.5,
-        ).as_dict()
-        [(decoded, rid)], rest = decode_binary_frames(
-            encode_binary_frame(response, 99)
-        )
-        assert rest == b""
-        assert rid == 99
-        assert decoded == response  # bit-for-bit, allocation as list
+        for cache in ("miss", "hit", "warm", "lookaside"):
+            response = SolveResponse(
+                request_id="r1",
+                status="ok",
+                allocation=np.array([0.25, 0.75 + 2.0 ** -40]),
+                cost=1.2345,
+                iterations=17,
+                converged=True,
+                cache=cache,
+                batch_size=3,
+                latency_s=0.5,
+            ).as_dict()
+            frame = encode_binary_frame(response, 99)
+            assert frame_kind(frame) == KIND_RESULT, cache  # every disposition packs
+            [(decoded, rid)], rest = decode_binary_frames(frame)
+            assert rest == b""
+            assert rid == 99
+            assert decoded == response, cache  # bit-for-bit, allocation as list
 
     def test_other_payloads_ride_the_json_kind_exactly(self):
         for payload in (
@@ -249,23 +270,19 @@ class TestBinaryCodec:
 
     def test_bad_magic_version_and_kind_are_errors(self):
         good = encode_binary_frame({"op": "ping"})
-        with pytest.raises(BinaryFrameError, match="magic"):
+        with pytest.raises(FrameError, match="magic"):
             decode_binary_frames(b"XXXX" + good[4:])
-        with pytest.raises(BinaryFrameError, match="version"):
+        with pytest.raises(FrameError, match="version"):
             decode_binary_frames(good[:4] + b"\x09" + good[5:])
-        with pytest.raises(BinaryFrameError, match="kind"):
+        with pytest.raises(FrameError, match="kind"):
             decode_binary_frames(good[:5] + b"\x07" + good[6:])
 
     def test_truncated_packed_bodies_are_errors(self):
         solve = encode_binary_frame(solve_payload_dict(4))
         # Rewrite the declared length so a short body still "completes".
-        import struct
-
-        from repro.net.binary import _HEADER, HEADER_BYTES
-
         magic, version, kind, flags, rid, length = _HEADER.unpack_from(solve)
         short = _HEADER.pack(magic, version, kind, flags, rid, length - 8)
-        with pytest.raises(BinaryFrameError, match="layout requires"):
+        with pytest.raises(FrameError, match="layout requires"):
             decode_binary_frames(short + solve[HEADER_BYTES : len(solve) - 8])
 
     def test_reader_round_trip_and_clean_eof(self):
@@ -287,8 +304,153 @@ class TestBinaryCodec:
         try:
             a.sendall(encode_binary_frame({"op": "ping"})[:-2])
             a.close()
-            with pytest.raises(BinaryFrameError, match="mid-frame"):
+            with pytest.raises(FrameError, match="mid-frame"):
                 BinaryFrameReader(b).read()
+        finally:
+            b.close()
+
+
+def gossip_records_payload(key="k", origin="s1", server="s0"):
+    rng = np.random.default_rng(7)
+    return {
+        "op": "gossip_records", "server": server,
+        "records": [{
+            "key": key, "n": 3, "params": rng.uniform(size=7),
+            "allocation": rng.dirichlet(np.ones(3)), "iterations": 4,
+            "origin": origin, "epoch": 2, "ttl_s": 1.5,
+        }],
+    }
+
+
+def corrupt_first(frame, needle, byte=b"\xff"):
+    """``frame`` with the first byte of ``needle`` (searched for past the
+    header) overwritten — by default with a byte that is never UTF-8."""
+    at = frame.index(needle, HEADER_BYTES)
+    return frame[:at] + byte + frame[at + 1:]
+
+
+class TestHostileFrames:
+    """Every malformed body raises FrameError — nothing else — so a
+    hostile frame fails one connection, never the thread reading it."""
+
+    def test_undecodable_packed_strings_are_frame_errors(self):
+        solve = solve_payload_dict(6)
+        solve["start"] = "uniform"
+        solve_frame = encode_binary_frame(solve)
+        gossip_frame = encode_binary_frame(
+            gossip_records_payload(key="kkk", origin="ooo", server="sss")
+        )
+        result_frame = encode_binary_frame({
+            "id": "rrr", "status": "ok", "allocation": [0.5, 0.5], "cost": 1.0,
+            "iterations": 3, "converged": True, "cache": "hit",
+        })
+        cases = [
+            (solve_frame, b"u6"), (solve_frame, b"unit-6"), (solve_frame, b"uniform"),
+            (gossip_frame, b"kkk"), (gossip_frame, b"ooo"), (gossip_frame, b"sss"),
+            (result_frame, b"rrr"),
+        ]
+        for frame, needle in cases:
+            with pytest.raises(FrameError, match="UnicodeDecodeError"):
+                decode_binary_frames(corrupt_first(frame, needle))
+
+    def test_deeply_nested_json_is_a_frame_error(self):
+        for kind in (KIND_JSON, KIND_GOSSIP_DIGEST, KIND_GOSSIP_PULL):
+            with pytest.raises(FrameError, match="RecursionError"):
+                decode_binary_frames(raw_frame(kind, b"[" * 200000))
+
+    def test_oversized_header_is_refused_before_any_body_is_buffered(self):
+        # The peer sends a header alone and keeps the socket open: the
+        # reader must refuse it at once rather than wait for 16 MiB.
+        a, b = socket_pair()
+        try:
+            a.sendall(raw_frame(KIND_SOLVE, b"", length=MAX_FRAME_BYTES + 1))
+            reader = BinaryFrameReader(b)
+            with pytest.raises(FrameError, match="exceeds"):
+                reader.read()
+            assert reader.bytes_read == HEADER_BYTES
+        finally:
+            a.close()
+            b.close()
+
+
+#: One valid frame of every kind the decoder knows.
+_VALID_FRAMES = [
+    encode_binary_frame(solve_payload_dict(8), 1),
+    encode_binary_frame(
+        {"id": "r", "status": "ok", "allocation": [0.25, 0.75], "cost": 1.0,
+         "iterations": 3, "converged": True, "cache": "lookaside"}, 2,
+    ),
+    encode_binary_frame({"op": "stats"}, 3),
+    encode_binary_frame({"op": "gossip_digest", "server": "a", "buckets": {"3": "ff"}}, 4),
+    encode_binary_frame({"op": "gossip_pull", "server": "a", "buckets": {"3": {"k": [1, "a"]}}}, 5),
+    encode_binary_frame(gossip_records_payload(), 6),
+]
+assert sorted(frame_kind(f) for f in _VALID_FRAMES) == [
+    KIND_JSON, KIND_SOLVE, KIND_RESULT, KIND_GOSSIP_DIGEST, KIND_GOSSIP_PULL,
+    KIND_GOSSIP_RECORDS,
+]
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A valid frame's kind with its body flipped, cut, or extended,
+    re-framed with a consistent length so the body decoders see it."""
+    frame = draw(st.sampled_from(_VALID_FRAMES))
+    body = bytearray(frame[HEADER_BYTES:])
+    for _ in range(draw(st.integers(0, 6))):
+        if body:
+            at = draw(st.integers(0, len(body) - 1))
+            body[at] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        body = body[: draw(st.integers(0, len(body)))]
+    body += draw(st.binary(max_size=24))
+    return raw_frame(frame_kind(frame), bytes(body))
+
+
+@st.composite
+def mutated_frames(draw):
+    """A valid frame with raw byte flips anywhere, header included."""
+    frame = bytearray(draw(st.sampled_from(_VALID_FRAMES)))
+    for _ in range(draw(st.integers(1, 4))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    return bytes(frame)
+
+
+_hostile_inputs = st.one_of(
+    mutated_bodies(),
+    mutated_frames(),
+    st.builds(raw_frame, st.integers(0, 255), st.binary(max_size=64)),
+    st.binary(max_size=96),
+)
+
+
+class TestDecoderFuzz:
+    """Mutated valid frames of every kind and random bytes: each input
+    decodes or raises FrameError; any other exception fails the test."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_hostile_inputs)
+    def test_pure_decoder_decodes_or_raises_frame_error(self, blob):
+        try:
+            decode_binary_frames(blob)
+        except FrameError:
+            pass
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_hostile_inputs)
+    def test_socket_reader_decodes_or_raises_frame_error(self, blob):
+        a, b = socket_pair()
+        try:
+            a.sendall(blob)
+            a.close()
+            reader = BinaryFrameReader(b)
+            try:
+                while reader.read() is not None:
+                    pass
+            except FrameError:
+                pass
         finally:
             b.close()
 
@@ -309,18 +471,6 @@ class TestManySmallFrames:
         thread = threading.Thread(target=send, daemon=True)
         thread.start()
         return thread
-
-    def test_json_reader_handles_a_burst(self):
-        a, b = socket_pair()
-        blob = b"".join(encode_frame({"i": i}) for i in range(self.COUNT))
-        thread = self._blast(a, blob)
-        try:
-            reader = FrameReader(b)
-            assert [p["i"] for p in reader] == list(range(self.COUNT))
-            assert reader.bytes_read == len(blob)
-        finally:
-            thread.join(timeout=5.0)
-            b.close()
 
     def test_binary_reader_handles_a_burst(self):
         a, b = socket_pair()
@@ -343,18 +493,13 @@ class TestManySmallFrames:
             b.close()
 
     def test_pure_decoders_handle_a_burst(self):
-        json_blob = b"".join(encode_frame({"i": i}) for i in range(self.COUNT))
-        frames, rest = decode_frames(json_blob)
+        blob = b"".join(encode_binary_frame({"i": i}) for i in range(self.COUNT))
+        frames, rest = decode_binary_frames(blob)
         assert len(frames) == self.COUNT and rest == b""
-        bin_blob = b"".join(
-            encode_binary_frame({"i": i}) for i in range(self.COUNT)
-        )
-        bframes, brest = decode_binary_frames(bin_blob)
-        assert len(bframes) == self.COUNT and brest == b""
 
 
 class _ScriptedServer:
-    """A JSON-codec fake server: one thread, scripted per connection.
+    """A fake server: one thread, scripted per connection.
 
     Each entry in ``script`` handles one accepted connection and is
     called with that connection's socket.
@@ -403,6 +548,12 @@ def _restart_reply(payload):
     }
 
 
+def _answer(conn, reader, make_reply):
+    """Read one request frame and answer it under the same request id."""
+    payload, request_id = reader.read()
+    send_binary_frame(conn, make_reply(payload), request_id)
+
+
 class TestClientRetryBudget:
     """Transport failures and in-band worker restarts share ONE re-send
     budget (``retries``).  Regression: ``retry_restarts=True`` with
@@ -412,14 +563,14 @@ class TestClientRetryBudget:
 
     def test_restart_is_retried_within_the_shared_budget(self):
         def serve(conn):
-            reader = FrameReader(conn)
-            send_frame(conn, _restart_reply(reader.read()))
-            send_frame(conn, _ok_reply(reader.read()))
+            reader = BinaryFrameReader(conn)
+            _answer(conn, reader, _restart_reply)
+            _answer(conn, reader, _ok_reply)
             conn.close()
 
         with _ScriptedServer(serve) as server:
             with NetClient(
-                server.host, server.port, codec="json", retries=1,
+                server.host, server.port, retries=1,
                 retry_restarts=True, backoff_s=0.001,
             ) as client:
                 response = client.request({"id": "r1"})
@@ -429,13 +580,12 @@ class TestClientRetryBudget:
 
     def test_restart_with_spent_budget_is_surfaced_structurally(self):
         def serve(conn):
-            reader = FrameReader(conn)
-            send_frame(conn, _restart_reply(reader.read()))
+            _answer(conn, BinaryFrameReader(conn), _restart_reply)
             conn.close()
 
         with _ScriptedServer(serve) as server:
             with NetClient(
-                server.host, server.port, codec="json", retries=0,
+                server.host, server.port, retries=0,
                 retry_restarts=True, backoff_s=0.001,
             ) as client:
                 response = client.request({"id": "r1"})
@@ -447,18 +597,18 @@ class TestClientRetryBudget:
         # Budget of 2: one dropped connection + one restart error both
         # fit; the second restart answer is surfaced, not retried.
         def serve(conn):
-            FrameReader(conn).read()
+            BinaryFrameReader(conn).read()
             conn.close()  # transport failure: mid-request drop
 
         def serve_restarts(conn):
-            reader = FrameReader(conn)
-            send_frame(conn, _restart_reply(reader.read()))
-            send_frame(conn, _restart_reply(reader.read()))
+            reader = BinaryFrameReader(conn)
+            _answer(conn, reader, _restart_reply)
+            _answer(conn, reader, _restart_reply)
             conn.close()
 
         with _ScriptedServer(serve, serve_restarts) as server:
             with NetClient(
-                server.host, server.port, codec="json", retries=2,
+                server.host, server.port, retries=2,
                 retry_restarts=True, backoff_s=0.001,
             ) as client:
                 response = client.request({"id": "r1"})
@@ -471,13 +621,13 @@ class TestClientRetryBudget:
 class TestClientConnectMetrics:
     def test_first_connections_are_connects_not_reconnects(self):
         def serve(conn):
-            reader = FrameReader(conn)
-            send_frame(conn, _ok_reply(reader.read()))
-            send_frame(conn, _ok_reply(reader.read()))
+            reader = BinaryFrameReader(conn)
+            _answer(conn, reader, _ok_reply)
+            _answer(conn, reader, _ok_reply)
             conn.close()
 
         with _ScriptedServer(serve) as server:
-            with NetClient(server.host, server.port, codec="json") as client:
+            with NetClient(server.host, server.port) as client:
                 client.request({"id": "a"})
                 client.request({"id": "b"})  # pooled connection is reused
                 assert client.metrics["connects"] == 1
@@ -485,17 +635,16 @@ class TestClientConnectMetrics:
 
     def test_replacing_a_dropped_connection_is_a_reconnect(self):
         def serve_drop(conn):
-            FrameReader(conn).read()
+            BinaryFrameReader(conn).read()
             conn.close()
 
         def serve_ok(conn):
-            reader = FrameReader(conn)
-            send_frame(conn, _ok_reply(reader.read()))
+            _answer(conn, BinaryFrameReader(conn), _ok_reply)
             conn.close()
 
         with _ScriptedServer(serve_drop, serve_ok) as server:
             with NetClient(
-                server.host, server.port, codec="json", retries=1,
+                server.host, server.port, retries=1,
                 backoff_s=0.001,
             ) as client:
                 assert client.request({"id": "a"})["status"] == "ok"
