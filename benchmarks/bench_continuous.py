@@ -1,21 +1,22 @@
-"""Benchmark continuous batching against group-and-flush dispatch.
+"""Benchmark continuous batching against lockstep and individual dispatch.
 
-The flush dispatcher's weakness is the straggler: a lockstep group runs
-until its *slowest* row converges, so on a mixed-convergence stream the
-batch spends its tail iterations nearly empty.  The continuous batcher
-retires converged rows and refills their slots from the pending queue,
-keeping occupancy — and therefore the amortization of the per-iteration
+Lockstep dispatch's weakness is the straggler: a fixed group runs until
+its *slowest* row converges, so on a mixed-convergence stream the batch
+spends its tail iterations nearly empty.  The continuous batcher retires
+converged rows and refills their slots from the pending queue, keeping
+occupancy — and therefore the amortization of the per-iteration
 dispatch overhead — near capacity for the whole stream.
 
 Three claims, each parity-gated before its time is trusted:
 
 * **mixed-convergence stream** — L same-shape requests whose stepsizes
   span a wide geometric range (per-row iteration counts vary ~50x)
-  dispatched through an ``AllocationService`` in ``batch_mode=
-  "continuous"`` vs ``"flush"``, both at the same slot capacity.  Both
-  must return bit-for-bit identical answers; the req/s ratio plus the
-  occupancy gauges (``continuous.row_steps / (steps * capacity)`` vs
-  ``batched.row_iterations / (iterations * capacity)``) are the result.
+  dispatched through an ``AllocationService`` at slot capacity C
+  (continuous dispatch) vs ``max_batch=1`` (individual dispatch: every
+  request on the fused fast path).  Both must return answers bit-for-bit
+  identical to each other and to the reference serial engine; the req/s
+  ratio plus the continuous occupancy gauge
+  (``continuous.row_steps / (steps * capacity)``) are the result.
 * **driver occupancy** — the same stream fed straight to
   :class:`~repro.parallel.ContinuousBatcher` vs capacity-sized lockstep
   :class:`~repro.parallel.BatchedAllocator` groups, no service around
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -105,25 +107,24 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
 
     regs = {}
 
-    def run(mode):
-        regs[mode] = MetricsRegistry()
+    def run(label, max_batch):
+        regs[label] = MetricsRegistry()
         service = AllocationService(
-            max_batch=capacity, cache_size=0, batch_mode=mode, registry=regs[mode]
+            max_batch=max_batch, cache_size=0, registry=regs[label]
         )
-        # One burst of L requests against C slots: flush splits it into
-        # ceil(L/C) lockstep groups, each running to its slowest row;
-        # continuous keeps one C-slot batch full from the backlog.
+        # One burst of L requests: continuous keeps one C-slot batch full
+        # from the backlog; individual dispatch solves them one by one.
         return service.solve_many(requests)
 
-    cont_s, cont = _time(lambda: run("continuous"), repeats=repeats)
-    flush_s, flush = _time(lambda: run("flush"), repeats=repeats)
+    cont_s, cont = _time(lambda: run("continuous", capacity), repeats=repeats)
+    indiv_s, indiv = _time(lambda: run("individual", 1), repeats=repeats)
 
-    # Parity gate: both dispatchers, and the reference serial engine,
+    # Parity gate: both dispatch paths, and the reference serial engine,
     # must agree bit for bit on every response.
-    for request, c, f in zip(requests, cont, flush):
-        assert c.ok and f.ok, request.request_id
-        assert np.array_equal(c.allocation, f.allocation), request.request_id
-        assert c.cost == f.cost and c.iterations == f.iterations
+    for request, c, solo in zip(requests, cont, indiv):
+        assert c.ok and solo.ok, request.request_id
+        assert np.array_equal(c.allocation, solo.allocation), request.request_id
+        assert c.cost == solo.cost and c.iterations == solo.iterations
         ref = solve(
             request.problem, alpha=request.alpha, epsilon=request.epsilon,
             max_iterations=request.max_iterations,
@@ -133,9 +134,7 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
         assert c.iterations == ref.iterations
 
     cc = regs["continuous"].counters
-    fc = regs["flush"].counters
-    cont_occ = cc["continuous.row_steps"] / (cc["continuous.steps"] * capacity)
-    flush_occ = fc["batched.row_iterations"] / (fc["batched.iterations"] * capacity)
+    assert "continuous.steps" not in regs["individual"].counters
     iters = [r.iterations for r in cont]
     return {
         "n": n,
@@ -144,14 +143,13 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
         "row_iterations_min": int(min(iters)),
         "row_iterations_max": int(max(iters)),
         "continuous_seconds": cont_s,
-        "flush_seconds": flush_s,
+        "individual_seconds": indiv_s,
         "requests_per_s_continuous": length / cont_s,
-        "requests_per_s_flush": length / flush_s,
-        "speedup_continuous": flush_s / cont_s,
+        "requests_per_s_individual": length / indiv_s,
+        "speedup_continuous": indiv_s / cont_s,
         "continuous_steps": int(cc["continuous.steps"]),
-        "flush_steps": int(fc["batched.iterations"]),
-        "occupancy_continuous": cont_occ,
-        "occupancy_flush": flush_occ,
+        "occupancy_continuous": cc["continuous.row_steps"]
+        / (cc["continuous.steps"] * capacity),
         "parity": True,
     }
 
@@ -280,9 +278,9 @@ def main(argv=None) -> int:
         print(
             f"stream n={n} L={length} C={capacity}: "
             f"{row['requests_per_s_continuous']:.0f} req/s continuous vs "
-            f"{row['requests_per_s_flush']:.0f} flush "
+            f"{row['requests_per_s_individual']:.0f} individual "
             f"({row['speedup_continuous']:.2f}x), occupancy "
-            f"{row['occupancy_continuous']:.2f} vs {row['occupancy_flush']:.2f}"
+            f"{row['occupancy_continuous']:.2f}"
         )
     for n, length, capacity in streams:
         row = bench_driver(n, length, capacity)
@@ -306,6 +304,7 @@ def main(argv=None) -> int:
     if out is not None:
         payload = {
             "benchmark": "continuous-batching",
+            "cpu_count": os.cpu_count(),
             "epsilon": EPSILON,
             "max_iterations": MAX_ITERATIONS,
             **results,

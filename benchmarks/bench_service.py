@@ -160,7 +160,7 @@ def bench_stream(*, n: int, distinct: int, repeats_per: int, variants: int) -> d
 
     def run(service):
         responses = []
-        window = service.batcher.max_batch
+        window = service.max_batch
         for i in range(0, len(requests), window):
             responses.extend(service.solve_many(requests[i : i + window]))
         return responses

@@ -3,7 +3,7 @@
 Runs an in-process :class:`repro.AllocationService` through its three
 headline behaviors:
 
-1. a burst of compatible requests dispatched as ONE lockstep solve,
+1. a burst of same-size requests dispatched as ONE continuous batch,
    each answer bit-for-bit identical to a solo reference solve;
 2. the solution cache: an exact repeat answered without running the
    solver at all, a near-miss warm-started from its nearest donor;
@@ -35,7 +35,7 @@ def main() -> None:
     service = repro.AllocationService(max_batch=16, registry=registry)
     print(f"service: {service}")
 
-    # 1. A same-shape burst: one lockstep dispatch, per-request parity.
+    # 1. A same-shape burst: one continuous dispatch, per-request parity.
     burst = [
         request_for(zipf_rates(N, exponent=1.0 + 0.1 * i, total=0.8, seed=i),
                     request_id=f"burst-{i}")
@@ -43,7 +43,7 @@ def main() -> None:
     ]
     responses = service.solve_many(burst)
     print(f"\nburst of {len(burst)} requests -> "
-          f"batch_size={responses[0].batch_size} (one lockstep solve)")
+          f"batch_size={responses[0].batch_size} (one batched dispatch)")
     reference = solve(burst[0].problem, alpha=0.3,
                       initial_allocation=burst[0].initial_allocation)
     same = np.array_equal(responses[0].allocation, reference.allocation)

@@ -2,12 +2,11 @@
 
 The subsystem that turns one-shot library calls into a served stream:
 :class:`AllocationService` accepts :class:`SolveRequest`\\ s on a bounded
-queue, micro-batches compatible requests into one continuous-batching
+queue, groups same-``n`` M/M/1 requests into one continuous-batching
 :class:`~repro.parallel.ContinuousBatcher` dispatch — converged rows
-retire mid-flight and freed slots refill from the pending queue
-(``batch_mode="flush"`` keeps the PR-4 group-and-flush lockstep
-dispatcher; singletons take the fused fast path) — answers repeats from
-a content-addressed
+retire mid-flight and freed slots refill from the pending queue;
+everything else takes the fused fast path as a singleton — answers
+repeats from a content-addressed
 :class:`SolutionCache` (exact hits immediately; near-misses warm-started
 from the nearest cached allocation), and sheds overload through
 :class:`AdmissionController` as structured rejections instead of
@@ -34,14 +33,6 @@ numbers) cover operation.
 """
 
 from repro.service.admission import AdmissionController
-from repro.service.batcher import (
-    BatchKey,
-    ContinuousBatchKey,
-    MicroBatch,
-    MicroBatcher,
-    batch_key,
-    continuous_batch_key,
-)
 from repro.service.cache import EVICTION_POLICIES, CacheEntry, SolutionCache
 from repro.service.codec import (
     iter_request_payloads,
@@ -78,15 +69,11 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AllocationService",
-    "BatchKey",
     "CacheEntry",
     "CacheLookup",
-    "ContinuousBatchKey",
     "DriftState",
     "DriftTracker",
     "EVICTION_POLICIES",
-    "MicroBatch",
-    "MicroBatcher",
     "PendingSolve",
     "REJECT_DEADLINE",
     "REJECT_LOAD_SHED",
@@ -97,8 +84,6 @@ __all__ = [
     "SolutionCache",
     "SolveRequest",
     "SolveResponse",
-    "batch_key",
-    "continuous_batch_key",
     "iter_request_payloads",
     "parameter_distance",
     "parameter_vector",

@@ -1,4 +1,4 @@
-"""The allocation service: queue, cache, batcher, and dispatch in one loop.
+"""The allocation service: queue, cache, and dispatch in one loop.
 
 :class:`AllocationService` is the long-running, in-process composition of
 everything the earlier layers provide:
@@ -8,10 +8,10 @@ everything the earlier layers provide:
   pending queue as :class:`PendingSolve` tickets;
 * each **pump** drains the queue: expired requests are rejected with a
   structured deadline error, the **solution cache** answers exact hits
-  outright and attaches warm-start iterates to near-misses, and the
-  **micro-batcher** groups what remains into lockstep
-  :class:`~repro.parallel.BatchedAllocator` dispatches (singletons take
-  the fused fast path);
+  outright and attaches warm-start iterates to near-misses, and what
+  remains is grouped by node count — same-``n`` M/M/1 requests share one
+  row-staggered :class:`~repro.parallel.ContinuousBatcher` dispatch,
+  everything else takes the fused fast path as a singleton;
 * every response records how it was produced (cache disposition, batch
   size, queue-to-response latency) and the registry accumulates the
   service's operational story: queue depth, batch occupancy,
@@ -46,15 +46,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.algorithm import solve
+from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import BatchedAllocator, BatchedProblem, ContinuousBatcher
+from repro.parallel import ContinuousBatcher
 from repro.service.admission import AdmissionController
-from repro.service.batcher import (
-    ContinuousBatchKey,
-    MicroBatch,
-    MicroBatcher,
-    continuous_batch_key,
-)
 from repro.service.cache import SolutionCache
 from repro.service.drift import DriftTracker
 from repro.service.types import (
@@ -126,25 +121,30 @@ class PendingSolve:
         return f"PendingSolve(id={self.request.request_id!r}, {state})"
 
 
+def _group_of(request: SolveRequest) -> Optional[int]:
+    """The dispatch group of ``request``: its node count when the problem
+    is pure M/M/1 (the continuous driver's closed-form evaluation, which
+    carries everything else per row), else ``None`` — it runs alone."""
+    if not request.problem.has_vectorized_evaluate:
+        return None
+    return request.problem.n
+
+
 class AllocationService:
     """Allocation-as-a-service over the library's solver engines.
 
     Parameters
     ----------
     max_batch:
-        Concurrent rows per dispatch — the continuous driver's slot
-        capacity, or the flush split size; 1 disables micro-batching
-        (every request runs the singleton fast path).
-    batch_mode:
-        ``"continuous"`` (default) dispatches grouped requests through
-        the row-staggered :class:`~repro.parallel.ContinuousBatcher`:
-        converged rows retire mid-flight, freed slots refill from the
-        pending queue (including requests submitted *while the batch is
-        solving*, in threaded mode), and requests need only share ``n``
-        to group — per-request epsilon and budget ride along.
-        ``"flush"`` is the PR-4 group-and-flush lockstep dispatcher,
-        kept for comparison benchmarks.  Answers are bit-for-bit
-        identical either way.
+        Slot capacity of the continuous driver: same-``n`` M/M/1
+        requests share one row-staggered
+        :class:`~repro.parallel.ContinuousBatcher` dispatch whose
+        converged rows retire mid-flight and whose freed slots refill
+        from the pending queue (including requests submitted *while the
+        batch is solving*, in threaded mode).  Per-request epsilon,
+        budget, alpha, and start ride along per row.  1 disables
+        grouping (every request runs the singleton fast path); answers
+        are bit-for-bit identical either way.
     batch_window_s:
         In threaded mode, how long the dispatcher waits after work
         arrives for a batch to fill before dispatching anyway.  Ignored
@@ -199,7 +199,6 @@ class AllocationService:
         self,
         *,
         max_batch: int = 32,
-        batch_mode: str = "continuous",
         batch_window_s: float = 0.0,
         cache: Optional[SolutionCache] = None,
         cache_size: int = 256,
@@ -217,7 +216,9 @@ class AllocationService:
     ):
         self.registry = registry
         self.clock = clock
-        self.batcher = MicroBatcher(max_batch=max_batch, mode=batch_mode)
+        if max_batch < 1:
+            raise ConfigurationError("max_batch must be >= 1")
+        self.max_batch = int(max_batch)
         self.batch_window_s = float(batch_window_s)
         self.admission = admission if admission is not None else AdmissionController()
         if cache is None:
@@ -272,8 +273,8 @@ class AllocationService:
     def solve_many(
         self, requests: Sequence[SolveRequest], *, timeout: Optional[float] = None
     ) -> List[SolveResponse]:
-        """Submit a burst together — giving the micro-batcher the whole
-        group at once — and wait for all answers, in request order."""
+        """Submit a burst together — giving the pump the whole group at
+        once — and wait for all answers, in request order."""
         tickets = [self.submit(r) for r in requests]
         if self._thread is None and any(not t.done() for t in tickets):
             self.pump()
@@ -284,9 +285,13 @@ class AllocationService:
     def pump(self) -> int:
         """Drain the pending queue once; returns how many tickets resolved.
 
-        Deadline checks, cache probes, batch planning, and dispatch all
-        happen here, outside the queue lock — submissions keep flowing
-        while a batch solves.
+        Deadline checks, cache probes, grouping, and dispatch all happen
+        here, outside the queue lock — submissions keep flowing while a
+        batch solves.  Groups (see :func:`_group_of`) dispatch whole, in
+        first-arrival order — the driver's slot capacity bounds
+        concurrency — then ungroupable requests run one by one, in
+        arrival order, so dispatch order is deterministic for a given
+        queue state.
         """
         with self._cond:
             items = self._pending
@@ -295,8 +300,18 @@ class AllocationService:
         if not items:
             return 0
         to_solve, resolved = self._preflight(items)
-        for batch in self.batcher.plan(to_solve):
-            resolved += self._dispatch(batch)
+        groups: Dict[int, List[PendingSolve]] = {}
+        singletons: List[PendingSolve] = []
+        for item in to_solve:
+            group = _group_of(item.request) if self.max_batch > 1 else None
+            if group is None:
+                singletons.append(item)
+            else:
+                groups.setdefault(group, []).append(item)
+        for group, members in groups.items():
+            resolved += self._dispatch(members, group)
+        for item in singletons:
+            resolved += self._dispatch([item], None)
         self._publish_latency()
         return resolved
 
@@ -350,66 +365,57 @@ class AllocationService:
             to_solve.append(item)
         return to_solve, resolved
 
-    def _dispatch(self, batch: MicroBatch) -> int:
-        """Solve one planned batch; returns how many tickets it resolved
-        (continuous dispatch may resolve more than ``batch.size`` by
-        claiming compatible requests that arrive mid-flight)."""
-        reg = self.registry
-        if reg is not None:
-            reg.counter_inc("service.batches")
-            reg.counter_inc("service.batch_rows", batch.size)
-            reg.observe("service.batch_occupancy", batch.size)
-            reg.event("service_batch", size=batch.size, batched=batch.key is not None)
-        if batch.size == 1:
-            item = batch.items[0]
-            req = item.effective_request
-            result = solve(
-                req.problem,
-                alpha=req.alpha,
-                epsilon=req.epsilon,
-                max_iterations=req.max_iterations,
-                initial_allocation=req.initial_allocation,
-                engine="fast",
-                keep_allocations="last",
-            )
-            self._finish_solved(item, result, batch_size=1)
-            return 1
-        if isinstance(batch.key, ContinuousBatchKey):
-            return self._dispatch_continuous(batch)
-        key = batch.key
-        requests = [item.effective_request for item in batch.items]
-        allocator = BatchedAllocator(
-            BatchedProblem.from_problems([r.problem for r in requests]),
-            alpha=[r.alpha for r in requests],
-            epsilon=key.epsilon,
-            max_iterations=key.max_iterations,
-            registry=reg,
-        )
-        batched = allocator.run(
-            np.stack([r.initial_allocation for r in requests])
-        )
-        for row, item in enumerate(batch.items):
-            self._finish_solved(item, batched.row(row), batch_size=batch.size)
-        return batch.size
+    def _dispatch(self, items: List[PendingSolve], group: Optional[int]) -> int:
+        """Solve one group (``group`` is its node count) or one ungroupable
+        singleton (``group is None``); returns how many tickets resolved.
 
-    def _dispatch_continuous(self, batch: MicroBatch) -> int:
-        """Row-staggered dispatch: the whole group feeds one
+        A lone ticket takes the fused fast path.  A larger group feeds one
         :class:`~repro.parallel.ContinuousBatcher` whose slot capacity is
         ``max_batch``; converged rows retire each step and freed slots
-        refill — first from the group's own overflow, then from
-        compatible requests claimed off the pending queue mid-flight.
+        refill — first from the group's own overflow, then from same-group
+        requests claimed off the pending queue mid-flight (so this may
+        resolve more than ``len(items)`` tickets).  Either way a solver
+        fault rejects only its own ticket.
         """
-        key = batch.key
+        reg = self.registry
+        size = len(items)
+        if reg is not None:
+            reg.counter_inc("service.batches")
+            reg.counter_inc("service.batch_rows", size)
+            reg.observe("service.batch_occupancy", size)
+            reg.event("service_batch", size=size, batched=group is not None)
+        if size == 1:
+            item = items[0]
+            req = item.effective_request
+            try:
+                result = solve(
+                    req.problem,
+                    alpha=req.alpha,
+                    epsilon=req.epsilon,
+                    max_iterations=req.max_iterations,
+                    initial_allocation=req.initial_allocation,
+                    engine="fast",
+                    keep_allocations="last",
+                )
+            except Exception as exc:
+                self._reject(
+                    item,
+                    REJECT_SOLVER_ERROR,
+                    f"{type(exc).__name__}: {exc}",
+                    latency_s=self.clock() - item.submitted_at,
+                )
+            else:
+                self._finish_solved(item, result, batch_size=1)
+            return 1
         driver = ContinuousBatcher(
-            capacity=min(self.batcher.max_batch, batch.size),
-            registry=self.registry,
+            capacity=min(self.max_batch, size), registry=reg
         )
         # batch_size reported per row = how many requests were in the
-        # group when this row joined it, preserving the flush-mode
-        # meaning ("how many shared my dispatch") for whole-group joins.
+        # group when this row joined it ("how many shared my dispatch"
+        # for whole-group joins).
         sizes: Dict[int, int] = {}
-        for item in batch.items:
-            sizes[id(item)] = batch.size
+        for item in items:
+            sizes[id(item)] = size
             req = item.effective_request
             driver.submit(
                 req.problem,
@@ -427,7 +433,7 @@ class AllocationService:
             free = driver.capacity - driver.occupancy - driver.backlog
             if free <= 0:
                 continue
-            claimed, preflight_resolved = self._claim_compatible(key, free)
+            claimed, preflight_resolved = self._claim_compatible(group, free)
             resolved += preflight_resolved
             for item in claimed:
                 sizes[id(item)] = driver.occupancy + driver.backlog + 1
@@ -440,15 +446,15 @@ class AllocationService:
                     x0=req.initial_allocation,
                     tag=item,
                 )
-                if self.registry is not None:
-                    self.registry.counter_inc("service.batch_rows")
-                    self.registry.counter_inc("service.joined_inflight")
+                if reg is not None:
+                    reg.counter_inc("service.batch_rows")
+                    reg.counter_inc("service.joined_inflight")
         return resolved
 
-    def _claim_compatible(self, key: ContinuousBatchKey, limit: int) -> tuple:
-        """Pull up to ``limit`` pending requests compatible with ``key``
-        off the queue (preserving the order of what stays), then
-        preflight them.  Returns ``(to_solve, resolved_count)``.  The
+    def _claim_compatible(self, group: int, limit: int) -> tuple:
+        """Pull up to ``limit`` pending requests of ``group`` (see
+        :func:`_group_of`) off the queue (preserving the order of what
+        stays), then preflight them.  Returns ``(to_solve, resolved_count)``.  The
         unlocked emptiness probe keeps the per-step overhead of the sync
         path at one attribute read."""
         if not self._pending:
@@ -457,7 +463,7 @@ class AllocationService:
             keep: List[PendingSolve] = []
             take: List[PendingSolve] = []
             for item in self._pending:
-                if len(take) < limit and continuous_batch_key(item.request) == key:
+                if len(take) < limit and _group_of(item.request) == group:
                     take.append(item)
                 else:
                     keep.append(item)
@@ -614,7 +620,7 @@ class AllocationService:
                 if self.batch_window_s > 0:
                     deadline = time.monotonic() + self.batch_window_s
                     while (
-                        len(self._pending) < self.batcher.max_batch
+                        len(self._pending) < self.max_batch
                         and not self._stopping
                     ):
                         remaining = deadline - time.monotonic()
@@ -636,7 +642,7 @@ class AllocationService:
         with self._cond:
             depth = len(self._pending)
         return (
-            f"AllocationService({mode}, max_batch={self.batcher.max_batch}, "
+            f"AllocationService({mode}, max_batch={self.max_batch}, "
             f"pending={depth}, cache={len(self.cache)})"
         )
 

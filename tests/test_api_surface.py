@@ -81,8 +81,6 @@ def test_continuous_batching_exports_guarded():
                  "solve_chains", "batched_apply"):
         assert name in parallel.__all__, name
     service = importlib.import_module("repro.service")
-    for name in ("ContinuousBatchKey", "continuous_batch_key",
-                 "REJECT_SOLVER_ERROR"):
-        assert name in service.__all__, name
+    assert "REJECT_SOLVER_ERROR" in service.__all__
     assert repro.ContinuousBatcher is parallel.ContinuousBatcher
     assert "ContinuousBatcher" in repro.__all__

@@ -11,7 +11,7 @@ from repro.core.initials import paper_skewed_allocation, uniform_allocation
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
 from repro.network.builders import line_graph, ring_graph
-from repro.obs import MetricsRegistry
+from repro.obs import MemorySink, MetricsRegistry
 from repro.queueing import MD1Delay
 from repro.service import (
     EVICTION_POLICIES,
@@ -23,11 +23,9 @@ from repro.service import (
     AdmissionController,
     AllocationService,
     DriftTracker,
-    MicroBatcher,
     ServiceClient,
     SolutionCache,
     SolveRequest,
-    batch_key,
     parameter_distance,
     parameter_vector,
     problem_fingerprint,
@@ -245,39 +243,41 @@ class TestAdmissionController:
             AdmissionController(default_timeout_s=0.0)
 
 
-class _Item:
-    def __init__(self, request):
-        self.request = request
+class TestServiceGrouping:
+    """How the pump groups a drained queue: same-n M/M/1 requests form one
+    whole group per n in first-arrival order, everything else follows as
+    singletons in arrival order."""
 
-
-class TestMicroBatcher:
-    def test_groups_by_compatibility_and_splits(self):
-        items = [_Item(r) for r in seeded_requests(5)]
-        items.append(_Item(SolveRequest(problem=ring_problem(5))))  # different n
-        items.append(_Item(SolveRequest(problem=md1_problem())))  # unbatchable
-        batches = MicroBatcher(max_batch=3).plan(items)
-        sizes = [b.size for b in batches]
-        assert sizes == [3, 2, 1, 1]
-        assert batches[0].key is not None and batches[0].key == batches[1].key
-        assert batches[-1].key is None  # the MD1 singleton
-        # Arrival order preserved within the compatibility class.
-        assert batches[0].items == items[:3] and batches[1].items == items[3:5]
-
-    def test_epsilon_splits_classes(self):
-        a = _Item(SolveRequest(problem=ring_problem(), epsilon=1e-3))
-        b = _Item(SolveRequest(problem=ring_problem(), epsilon=1e-4))
-        batches = MicroBatcher(max_batch=8).plan([a, b])
-        assert [x.size for x in batches] == [1, 1]
+    def test_groups_by_node_count_whole_in_arrival_order(self):
+        requests = seeded_requests(5)
+        requests.append(SolveRequest(problem=ring_problem(5)))  # different n
+        requests.append(SolveRequest(problem=md1_problem()))  # ungroupable
+        registry = MetricsRegistry()
+        sink = MemorySink()
+        registry.add_sink(sink)
+        service = AllocationService(max_batch=3, cache_size=0, registry=registry)
+        responses = service.solve_many(requests)
+        assert registry.counters["service.batches"] == 3
+        assert [r.batch_size for r in responses] == [5, 5, 5, 5, 5, 1, 1]
+        # The group of 5 is not split at max_batch: it runs through one
+        # 3-slot continuous driver, then the two singletons follow.
+        assert registry.gauges["continuous.capacity"] == 3.0
+        assert registry.counters["continuous.admitted"] == 5
+        assert [
+            (e["size"], e["batched"]) for e in sink.of_type("service_batch")
+        ] == [(5, True), (1, True), (1, False)]
+        for request, response in zip(requests, responses):
+            ref = reference_solve(request)
+            assert np.array_equal(response.allocation, ref.allocation)
+            assert response.iterations == ref.iterations
 
     def test_max_batch_one_disables_grouping(self):
-        items = [_Item(r) for r in seeded_requests(3)]
-        batches = MicroBatcher(max_batch=1).plan(items)
-        assert [b.size for b in batches] == [1, 1, 1]
-        assert all(b.key is None for b in batches)
-
-    def test_unbatchable_key_is_none(self):
-        assert batch_key(SolveRequest(problem=md1_problem())) is None
-        assert batch_key(SolveRequest(problem=ring_problem())) is not None
+        registry = MetricsRegistry()
+        service = AllocationService(max_batch=1, cache_size=0, registry=registry)
+        responses = service.solve_many(seeded_requests(3))
+        assert [r.batch_size for r in responses] == [1, 1, 1]
+        assert registry.counters["service.batches"] == 3
+        assert "continuous.steps" not in registry.counters
 
 
 class TestDispatchParity:
@@ -679,7 +679,9 @@ class TestThreadedRejections:
 def _overloaded_problem(n=4):
     """Stable at construction, then the service-rate estimate collapses
     below the total query rate — every feasible allocation is M/M/1
-    unstable, which only the continuous dispatcher survives per-row."""
+    unstable, so the solve raises on whichever path runs it (a grouped
+    row or the singleton fast path) and the service must reject just
+    that request."""
     problem = ring_problem(n)
     for model in problem.delay_models:
         model.mu = 0.1
@@ -688,21 +690,23 @@ def _overloaded_problem(n=4):
 
 
 class TestContinuousDispatch:
-    """The PR-7 default: grouped requests run through the row-staggered
-    ContinuousBatcher instead of group-and-flush lockstep — same
-    bit-for-bit answers, wider compatibility, per-row fault isolation."""
+    """Grouped requests run through the row-staggered ContinuousBatcher:
+    bit-for-bit answers, per-row epsilon and budget, per-row fault
+    isolation."""
 
     def test_continuous_is_the_default_mode(self):
-        assert AllocationService().batcher.mode == "continuous"
-        assert AllocationService(batch_mode="flush").batcher.mode == "flush"
-        with pytest.raises(ConfigurationError, match="mode"):
-            AllocationService(batch_mode="ragged")
+        registry = MetricsRegistry()
+        AllocationService(cache_size=0, registry=registry).solve_many(
+            seeded_requests(2)
+        )
+        assert registry.counters["continuous.steps"] > 0
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            AllocationService(max_batch=0)
 
     def test_mixed_epsilon_and_budget_share_one_dispatch(self):
-        # Flush mode needs equal epsilon/max_iterations to group; the
-        # continuous driver carries both per row, so these four requests
-        # — two tolerances, two budgets — form ONE batch and still match
-        # their own solo reference solves exactly.
+        # The continuous driver carries epsilon and budget per row, so
+        # these four requests — two tolerances, two budgets — form ONE
+        # batch and still match their own solo reference solves exactly.
         requests = [
             SolveRequest(problem=p, alpha=a, epsilon=e, max_iterations=m)
             for p, a, e, m in zip(
@@ -738,11 +742,17 @@ class TestContinuousDispatch:
         assert registry.counters["continuous.retired"] == 10
         assert registry.gauges["continuous.capacity"] == 3.0
 
-    def test_solver_fault_is_isolated_to_its_row(self):
+    @pytest.mark.parametrize("max_batch", [8, 1])
+    def test_solver_fault_is_isolated_to_its_row(self, max_batch):
+        # max_batch=1 sends every request down the singleton fast path: a
+        # fault there must reject only its own ticket, not strand the
+        # tickets drained after it.
         healthy = seeded_requests(3, seed=8)
         bad = SolveRequest(problem=_overloaded_problem(), request_id="bad")
         registry = MetricsRegistry()
-        service = AllocationService(max_batch=8, cache_size=0, registry=registry)
+        service = AllocationService(
+            max_batch=max_batch, cache_size=0, registry=registry
+        )
         responses = service.solve_many([healthy[0], bad, healthy[1], healthy[2]])
         assert responses[1].status == "rejected"
         assert responses[1].reason == REJECT_SOLVER_ERROR
@@ -754,46 +764,37 @@ class TestContinuousDispatch:
             assert np.array_equal(response.allocation, ref.allocation)
             assert response.iterations == ref.iterations
 
-    def test_flush_mode_still_flushes(self):
-        # The PR-4 dispatcher stays available for comparison: equal keys
-        # group-and-flush through the lockstep kernel, mixed epsilon
-        # splits into separate dispatches.
-        requests = seeded_requests(4, seed=2)
+    def test_singleton_fault_does_not_strand_later_singletons(self):
+        # An n=5 request alone in its group runs the singleton path; its
+        # fault must not strand the MD1 singleton dispatched after it.
+        healthy = seeded_requests(3, seed=9)
+        bad = SolveRequest(problem=_overloaded_problem(5), request_id="bad")
+        md1 = SolveRequest(problem=md1_problem(), request_id="md1")
         registry = MetricsRegistry()
-        service = AllocationService(
-            max_batch=8, cache_size=0, registry=registry, batch_mode="flush"
-        )
-        responses = service.solve_many(requests)
-        assert registry.counters["service.batches"] == 1
-        assert "continuous.steps" not in registry.counters
-        for request, response in zip(requests, responses):
+        service = AllocationService(cache_size=0, registry=registry)
+        responses = service.solve_many([healthy[0], bad, healthy[1], md1, healthy[2]])
+        assert responses[1].status == "rejected"
+        assert responses[1].reason == REJECT_SOLVER_ERROR
+        assert responses[1].detail.startswith("StabilityError: ")
+        assert registry.counters["service.rejected.solver_error"] == 1
+        assert registry.counters["service.batches"] == 3
+        assert [responses[i].batch_size for i in (0, 2, 3, 4)] == [3, 3, 1, 3]
+        for request, response in zip(
+            [healthy[0], healthy[1], md1, healthy[2]],
+            [responses[0], responses[2], responses[3], responses[4]],
+        ):
             ref = reference_solve(request)
+            assert response.ok
             assert np.array_equal(response.allocation, ref.allocation)
             assert response.iterations == ref.iterations
 
-    def test_flush_and_continuous_answers_are_identical(self):
-        requests = seeded_requests(6, seed=13)
-        flush = AllocationService(
-            max_batch=8, cache_size=0, batch_mode="flush"
-        ).solve_many(requests)
-        requests2 = seeded_requests(6, seed=13)
-        cont = AllocationService(max_batch=8, cache_size=0).solve_many(requests2)
-        for a, b in zip(flush, cont):
-            assert np.array_equal(a.allocation, b.allocation)
-            assert a.cost == b.cost
-            assert a.iterations == b.iterations
-
     def test_claim_compatible_takes_only_matching_pending(self):
-        from repro.service import ContinuousBatchKey, continuous_batch_key
-
         service = AllocationService(max_batch=8, cache_size=0)
         r4a = SolveRequest(problem=ring_problem(4))
         r5 = SolveRequest(problem=ring_problem(5))
         r4b = SolveRequest(problem=ring_problem(4, k=2.0))
         tickets = [service.submit(r) for r in (r4a, r5, r4b)]
-        key = continuous_batch_key(r4a)
-        assert key == ContinuousBatchKey(n=4)
-        claimed, resolved = service._claim_compatible(key, limit=8)
+        claimed, resolved = service._claim_compatible(4, limit=8)
         assert [t.request.request_id for t in claimed] == [
             r4a.request_id, r4b.request_id
         ]
@@ -809,11 +810,7 @@ class TestContinuousDispatch:
         service.solve(first)  # populate the cache
         repeat = SolveRequest(problem=ring_problem())
         ticket = service.submit(repeat)
-        from repro.service import continuous_batch_key
-
-        claimed, resolved = service._claim_compatible(
-            continuous_batch_key(repeat), limit=8
-        )
+        claimed, resolved = service._claim_compatible(repeat.problem.n, limit=8)
         assert claimed == [] and resolved == 1
         assert ticket.done() and ticket.response.cache == "hit"
 
